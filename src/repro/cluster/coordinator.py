@@ -96,7 +96,6 @@ from repro.index.base import TokenIndex
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import current_context, get_tracer, trace_config
 from repro.obs.accounting import ResourceLedger
-from repro.obs.timing import Stopwatch
 from repro.service.backend import (
     materialize_stream,
     require_mutable,
@@ -104,6 +103,7 @@ from repro.service.backend import (
 )
 from repro.service.pool import merge_results
 from repro.sim.base import SimilarityFunction
+from repro.utils.timer import Stopwatch
 
 
 class _WorkerHandle:

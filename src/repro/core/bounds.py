@@ -33,9 +33,11 @@ cost. The ablation bench quantifies the difference.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable
+import sys
+from typing import AbstractSet, Iterable, Mapping
 
 from repro.errors import InvalidParameterError
+from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
 
 PAPER = "paper"
 SAFE = "safe"
@@ -235,6 +237,29 @@ class CandidateState:
         self.final_upper = score
         self.checked = True
         self.exact = True
+
+    def nbytes(self) -> int:
+        """Estimated footprint: the slotted object, its id and two
+        floats, the matched-endpoint sets' tables and, in safe mode, the
+        caps dict with one float per entry."""
+        size = (
+            sys.getsizeof(self)
+            + INT_BYTES
+            + 2 * FLOAT_BYTES
+            + sys.getsizeof(self.matched_query)
+            + sys.getsizeof(self.matched_tokens)
+        )
+        if self.caps is not None:
+            size += container_bytes(self.caps, FLOAT_BYTES)
+        return size
+
+
+def candidate_states_nbytes(states: Mapping[int, CandidateState]) -> int:
+    """Estimated footprint of a ``set id -> state`` map: its table plus
+    one flat pass summing each state's own estimate."""
+    return sys.getsizeof(states) + sum(
+        state.nbytes() for state in states.values()
+    )
 
 
 def vanilla_overlap(query_tokens: Iterable[str], candidate_tokens: AbstractSet[str]) -> int:

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.core.bounds import candidate_states_nbytes
 from repro.core.config import ENGINE_COLUMNAR, FilterConfig
 from repro.core.fastpath import (
     ColumnarPartition,
@@ -52,7 +53,11 @@ from repro.index.base import TokenIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.token_stream import MaterializedTokenStream
 from repro.sim.base import SimilarityFunction
-from repro.utils.memory import deep_sizeof
+from repro.utils.memory import FLOAT_BYTES, container_bytes, tuple_bytes
+
+#: One ``(query_token, token) -> similarity`` cache entry: the key tuple
+#: and the float (the strings belong to the query and the vocabulary).
+_SIM_CACHE_ENTRY_BYTES = tuple_bytes(2) + FLOAT_BYTES
 
 
 @dataclass(frozen=True)
@@ -191,16 +196,7 @@ class KoiosSearchEngine:
         # Columnar context (token table + per-partition CSR views) is
         # built lazily on first search so hot swaps stay O(shards).
         self._columnar_ctx: tuple | None = None
-        if all(hasattr(index, "memory_bytes") for index in self._inverted):
-            # Delta indexes are views of ONE shared posting store (and
-            # each reports its full footprint), so take the max rather
-            # than deep-walking that graph per engine build — the walk
-            # would dominate the O(shards) hot swap the factory enables.
-            self._index_bytes = max(
-                index.memory_bytes() for index in self._inverted
-            )
-        else:
-            self._index_bytes = deep_sizeof(self._inverted)
+        self._index_bytes = sum(index.nbytes() for index in self._inverted)
 
     @property
     def collection(self) -> SetCollection:
@@ -336,7 +332,7 @@ class KoiosSearchEngine:
                 )
             stream = stream.restrict(query_set)
         stats.memory.record("inverted_index", self._index_bytes)
-        stats.memory.measure("token_stream", stream)
+        stats.memory.record("token_stream", stream.nbytes())
 
         shared = (
             shared_threshold if shared_threshold is not None
@@ -453,12 +449,14 @@ class KoiosSearchEngine:
                     sim_cache=sim_cache,
                     deadline=deadline,
                 )
-        # Instrumentation happens outside the phase timers: deep object
-        # walks are bookkeeping, not refinement work, and they would
-        # otherwise dominate the phase timings the benches report.
-        stats.memory.measure("candidate_states", output.survivors)
-        stats.memory.measure("similarity_cache", output.sim_cache)
-        stats.memory.measure("topk_lb_list", llb)
+        stats.memory.record(
+            "candidate_states", candidate_states_nbytes(output.survivors)
+        )
+        stats.memory.record(
+            "similarity_cache",
+            container_bytes(output.sim_cache, _SIM_CACHE_ENTRY_BYTES),
+        )
+        stats.memory.record("topk_lb_list", llb.nbytes())
         # The columnar engine covers both phases: verification matrices
         # come from one batched matmul per partition instead of
         # per-candidate cache_view/build_graph calls. Similarities

@@ -46,6 +46,7 @@ from repro.datasets.collection import SetCollection
 from repro.errors import SearchTimeout
 from repro.obs import annotate
 from repro.sim.base import SimilarityFunction
+from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,13 @@ class _UpperBoundLedger:
 
     def alive_ids(self) -> list[int]:
         return list(self._bounds)
+
+    def nbytes(self) -> int:
+        """Estimated footprint: one id and one bound per alive set,
+        plus the sorted list's table (it shares the bound floats)."""
+        return container_bytes(
+            self._bounds, INT_BYTES + FLOAT_BYTES
+        ) + container_bytes(self._sorted, 0)
 
 
 def postprocess(
@@ -248,7 +256,7 @@ def postprocess(
     # resolved without any matching; the paper's per-filter tables count
     # them in the No-EM column, and so do we.
     stats.no_em_discarded += len(ledger) - len(checked)
-    stats.memory.measure("postproc_upper_bounds", ledger)
+    stats.memory.record("postproc_upper_bounds", ledger.nbytes())
     if verifier is not None:
         stats.memory.record("verify_weight_block", verifier.nbytes())
         # Resource attribution for per-tenant accounting and EXPLAIN:

@@ -81,31 +81,17 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another partition's stats into this one."""
-        self.stream_tuples += other.stream_tuples
+        for name in self._COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.final_stream_similarity = max(
             self.final_stream_similarity, other.final_stream_similarity
         )
-        self.candidates += other.candidates
-        self.pruned_first_sight += other.pruned_first_sight
-        self.pruned_bucket += other.pruned_bucket
-        self.bucket_moves += other.bucket_moves
-        self.observed_edges += other.observed_edges
-        self.discarded_edges += other.discarded_edges
-        self.no_em_accepted += other.no_em_accepted
-        self.no_em_discarded += other.no_em_discarded
-        self.em_early_terminated += other.em_early_terminated
-        self.em_full += other.em_full
-        self.em_label_updates += other.em_label_updates
-        self.resolution_em += other.resolution_em
-        self.verify_matmul_cells += other.verify_matmul_cells
-        self.verify_matmul_flops += other.verify_matmul_flops
-        self.verify_bytes_scanned += other.verify_bytes_scanned
-        self.verify_fallbacks += other.verify_fallbacks
         self.timer.merge(other.timer)
         self.memory.merge(other.memory)
 
-    #: Counter fields that must never go negative (everything except the
-    #: float stream similarity and the timer/memory sub-objects).
+    #: Every int counter: summed by ``merge`` and never negative
+    #: (everything except the float stream similarity and the
+    #: timer/memory sub-objects).
     _COUNTER_FIELDS = (
         "stream_tuples",
         "candidates",

@@ -12,6 +12,7 @@ import threading
 from typing import Iterator
 
 from repro.errors import InvalidParameterError
+from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
 
 
 class TopKList:
@@ -82,6 +83,10 @@ class TopKList:
 
     def ids(self) -> set[int]:
         return set(self._values)
+
+    def nbytes(self) -> int:
+        """Estimated footprint: one id and one value per entry."""
+        return container_bytes(self._values, INT_BYTES + FLOAT_BYTES)
 
 
 class GlobalThreshold:

@@ -105,15 +105,15 @@ class _Connection:
     out_queue: "asyncio.Queue[asyncio.Task | None]" = field(
         default_factory=asyncio.Queue
     )
-    searches: list[asyncio.Task] = field(default_factory=list)
+    #: In-flight searches only: each task removes itself when it
+    #: finishes, so a long-lived search-only connection stays bounded.
+    searches: set[asyncio.Task] = field(default_factory=set)
 
     async def drain_searches(self) -> None:
         """Wait for this connection's in-flight searches (the barrier a
         mutation op crosses so earlier requests see the old state)."""
-        pending = [task for task in self.searches if not task.done()]
-        if pending:
-            await asyncio.wait(pending)
-        self.searches.clear()
+        if self.searches:
+            await asyncio.wait(self.searches)
 
 
 class GatewayServer:
@@ -307,7 +307,8 @@ class GatewayServer:
             task = loop.create_task(self._handle_op(conn, obj))
         else:
             task = loop.create_task(self._handle_search(conn, obj))
-            conn.searches.append(task)
+            conn.searches.add(task)
+            task.add_done_callback(conn.searches.discard)
         await conn.out_queue.put(task)
 
     # -- tenant resolution -------------------------------------------------

@@ -18,6 +18,7 @@ Two adoption paths avoid the build entirely:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -194,6 +195,20 @@ class InvertedIndex:
         start = csr.offsets[token_id]
         end = csr.offsets[token_id + 1]
         return csr.sets[start:end].tolist()
+
+    def nbytes(self) -> int:
+        """Estimated footprint: the adopted CSR arrays plus, once the
+        dict view exists, its table and each posting list's own table
+        (one flat pass; token strings and set-id ints belong to the
+        collection)."""
+        size = 0
+        if self._adopted_csr is not None:
+            size += self._adopted_csr[1].nbytes()
+        if self._postings is not None:
+            size += sys.getsizeof(self._postings) + sum(
+                map(sys.getsizeof, self._postings.values())
+            )
+        return size
 
     def stats(self) -> PostingStats:
         if self._postings is None:

@@ -26,6 +26,7 @@ from typing import AbstractSet, Iterable, Iterator
 
 from repro.errors import EmptyQueryError, InvalidParameterError
 from repro.index.base import TokenIndex
+from repro.utils.memory import FLOAT_BYTES, container_bytes, tuple_bytes
 
 #: One stream element: (query_token, vocabulary_token, similarity).
 StreamTuple = tuple[str, str, float]
@@ -306,6 +307,15 @@ class MaterializedTokenStream:
         columns = (q_col, t_col, s_col)
         self._columns = (table, list(query_sorted), columns)
         return columns
+
+    def nbytes(self) -> int:
+        """Estimated footprint: one 3-tuple and one float per stream
+        entry (token strings belong to the query and the vocabulary),
+        plus the interned column arrays once attached."""
+        size = container_bytes(self._tuples, tuple_bytes(3) + FLOAT_BYTES)
+        if self._columns is not None:
+            size += sum(int(column.nbytes) for column in self._columns[2])
+        return size
 
     def __len__(self) -> int:
         return len(self._tuples)

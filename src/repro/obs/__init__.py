@@ -57,7 +57,7 @@ from repro.obs.span import (
     trace_config,
     traced_phase,
 )
-from repro.obs.timing import MONOTONIC, Stopwatch, timed
+from repro.utils.timer import MONOTONIC, Stopwatch, timed
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",

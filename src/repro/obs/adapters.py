@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from repro.obs.histogram import StreamingHistogram
 from repro.obs.prom import PromRegistry
 
 #: Help text per :data:`repro.obs.accounting.RESOURCE_FIELDS` entry;
@@ -142,7 +143,7 @@ def service_to_registry(
     # phases accumulate into the timer without per-call phase() calls,
     # so the totals are the complete per-phase attribution).
     totals = dict(metrics.timer.totals)
-    calls = dict(metrics.phase_calls)
+    calls = dict(metrics.timer.calls)
     for phase in sorted(totals):
         registry.counter(
             "repro_phase_seconds_total",
@@ -168,11 +169,7 @@ def _load_histogram(
     family = registry.histogram(
         name, help_text, label_names, bounds=state["bounds"]
     )
-    family.labels(*label_values).load(
-        sum=state["sum"],
-        count=state["count"],
-        bucket_counts=state["counts"],
-    )
+    family.replace(label_values, StreamingHistogram.from_state(state))
 
 
 def gateway_to_registry(

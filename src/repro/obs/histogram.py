@@ -128,8 +128,9 @@ class StreamingHistogram:
         if len(counts) != len(hist.counts):
             raise ValueError("histogram state counts mismatch bounds")
         hist.counts = [int(c) for c in counts]
-        hist.overflow = int(state["overflow"])
         hist.total = int(state["count"])
+        # The +Inf bucket holds whatever the finite buckets do not.
+        hist.overflow = hist.total - sum(hist.counts)
         hist.sum = float(state["sum"])
         return hist
 
@@ -161,18 +162,18 @@ class Reservoir:
         if slot < self.size:
             self._samples[slot] = float(value)
 
-    def samples(self) -> list[float]:
-        return list(self._samples)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the retained samples (``q`` in
-        [0, 1]); 0.0 when empty. Exact while fewer than ``size`` values
-        have been observed, an unbiased estimate after."""
-        if not self._samples:
-            return 0.0
+    def percentiles(self, *qs: float) -> list[float]:
+        """Nearest-rank percentiles over the retained samples (each
+        ``q`` in [0, 1]) from one sort; 0.0 when empty. Exact while
+        fewer than ``size`` values have been observed, an unbiased
+        estimate after."""
         ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-        return ordered[rank]
+        if not ordered:
+            return [0.0] * len(qs)
+        last = len(ordered) - 1
+        return [
+            ordered[min(last, max(0, int(q * len(ordered))))] for q in qs
+        ]
 
     def __len__(self) -> int:
         return len(self._samples)

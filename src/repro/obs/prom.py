@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+from repro.obs.histogram import StreamingHistogram
 
 
 def _escape_help(text: str) -> str:
@@ -89,62 +91,6 @@ class Gauge:
         self.value -= amount
 
 
-class Histogram:
-    """Fixed-bucket histogram child mirroring the exposition shape."""
-
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        self.bounds = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0.0] * len(self.bounds)
-        self.sum = 0.0
-        self.count = 0.0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-
-    def load(
-        self,
-        *,
-        sum: float,
-        count: float,
-        bucket_counts: Sequence[float],
-        overflow: float = 0.0,
-    ) -> None:
-        """Overwrite from a :class:`StreamingHistogram` state — the
-        adapter path, where the source is already cumulative-safe.
-        ``bucket_counts`` are per-bucket (non-cumulative) counts."""
-        if len(bucket_counts) != len(self.bounds):
-            raise ValueError("bucket_counts length mismatch")
-        self.bucket_counts = [float(c) for c in bucket_counts]
-        self.sum = float(sum)
-        self.count = float(count)
-        # Overflow rides in the implicit +Inf bucket via `count`.
-        del overflow
-
-    def merge_load(
-        self,
-        *,
-        sum: float,
-        count: float,
-        bucket_counts: Sequence[float],
-    ) -> None:
-        """Accumulate another source's state into this child (several
-        cluster workers feeding one labeled series)."""
-        if len(bucket_counts) != len(self.bounds):
-            raise ValueError("bucket_counts length mismatch")
-        for i, c in enumerate(bucket_counts):
-            self.bucket_counts[i] += float(c)
-        self.sum += float(sum)
-        self.count += float(count)
-
-
 class _Family:
     __slots__ = ("name", "help", "kind", "label_names", "children", "bounds")
 
@@ -161,15 +107,20 @@ class _Family:
         self.kind = kind
         self.label_names = label_names
         self.bounds = bounds
-        self.children: dict[tuple[str, ...], Counter | Gauge | Histogram] = {}
+        self.children: dict[
+            tuple[str, ...], Counter | Gauge | StreamingHistogram
+        ] = {}
 
-    def labels(self, *values: str) -> Counter | Gauge | Histogram:
+    def _key(self, values: Sequence[str]) -> tuple[str, ...]:
         if len(values) != len(self.label_names):
             raise ValueError(
                 f"{self.name}: expected labels {self.label_names}, "
                 f"got {values!r}"
             )
-        key = tuple(str(v) for v in values)
+        return tuple(str(v) for v in values)
+
+    def labels(self, *values: str) -> Counter | Gauge | StreamingHistogram:
+        key = self._key(values)
         child = self.children.get(key)
         if child is None:
             if self.kind == "counter":
@@ -177,9 +128,16 @@ class _Family:
             elif self.kind == "gauge":
                 child = Gauge()
             else:
-                child = Histogram(self.bounds or ())
+                child = StreamingHistogram(self.bounds)
             self.children[key] = child
         return child
+
+    def replace(
+        self, values: Sequence[str], child: StreamingHistogram
+    ) -> None:
+        """Install ``child`` as the series for ``values`` — the adapter
+        path, where a scrape hands over a whole shipped histogram."""
+        self.children[self._key(values)] = child
 
     def render(self) -> Iterable[str]:
         yield f"# HELP {self.name} {_escape_help(self.help)}"
@@ -188,10 +146,8 @@ class _Family:
             child = self.children[key]
             suffix = _label_suffix(self.label_names, key)
             if self.kind == "histogram":
-                assert isinstance(child, Histogram)
-                running = 0.0
-                for bound, count in zip(child.bounds, child.bucket_counts):
-                    running += count
+                assert isinstance(child, StreamingHistogram)
+                for bound, running in child.cumulative():
                     le = _label_suffix(
                         self.label_names + ("le",),
                         key + (_format_value(bound),),
@@ -199,10 +155,6 @@ class _Family:
                     yield (
                         f"{self.name}_bucket{le} {_format_value(running)}"
                     )
-                inf = _label_suffix(
-                    self.label_names + ("le",), key + ("+Inf",)
-                )
-                yield f"{self.name}_bucket{inf} {_format_value(child.count)}"
                 yield f"{self.name}_sum{suffix} {_format_value(child.sum)}"
                 yield (
                     f"{self.name}_count{suffix} {_format_value(child.count)}"

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs.sink import TraceSink
-from repro.obs.timing import MONOTONIC, Stopwatch
+from repro.utils.timer import MONOTONIC, Stopwatch
 
 
 def new_trace_id() -> str:

@@ -31,7 +31,7 @@ from repro.service.bootstrap import (
     substrate_descriptor,
 )
 from repro.service.cache import CacheKey, ResultCache, make_key
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics
 from repro.service.pool import EnginePool, ReadWriteLock, merge_results
 from repro.service.request import (
     Hit,
@@ -70,7 +70,6 @@ __all__ = [
     "make_key",
     "merge_results",
     "parse_request_lines",
-    "percentile",
     "run_batch",
     "serve_lines",
     "substrate_descriptor",

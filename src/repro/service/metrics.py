@@ -28,15 +28,6 @@ from repro.utils.timer import PhaseTimer
 LATENCY_WINDOW = 4096
 
 
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 1]); 0.0 for no samples."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[rank]
-
-
 class ServiceMetrics:
     """Thread-safe counters and timers for one scheduler instance.
 
@@ -70,13 +61,11 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_requests = 0
         self.timer = PhaseTimer()
-        self.phase_calls: dict[str, int] = {}
         self.engine_stats = SearchStats()
         # Bounded latency accounting: a fixed-size uniform reservoir
-        # backs the percentile keys (same nearest-rank math as before),
-        # and streaming fixed-bucket histograms carry the full
-        # distribution for Prometheus exposition — neither grows with
-        # request count.
+        # backs the nearest-rank percentile keys, and streaming
+        # fixed-bucket histograms carry the full distribution for
+        # Prometheus exposition — neither grows with request count.
         self._latencies = Reservoir(LATENCY_WINDOW)
         self._latency_hist = StreamingHistogram()
         self._phase_hists: dict[str, StreamingHistogram] = {}
@@ -175,10 +164,7 @@ class ServiceMetrics:
         finally:
             elapsed = self._clock() - started
             with self._lock:
-                self.timer.totals[name] = (
-                    self.timer.totals.get(name, 0.0) + elapsed
-                )
-                self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
+                self.timer.add(name, elapsed)
                 hist = self._phase_hists.get(name)
                 if hist is None:
                     hist = self._phase_hists[name] = StreamingHistogram()
@@ -206,8 +192,7 @@ class ServiceMetrics:
 
     def latency_percentile(self, q: float) -> float:
         with self._lock:
-            samples = self._latencies.samples()
-        return percentile(samples, q)
+            return self._latencies.percentiles(q)[0]
 
     def histogram_snapshot(self) -> dict:
         """Plain-dict streaming-histogram states (request latency +
@@ -224,7 +209,7 @@ class ServiceMetrics:
     def snapshot(self) -> Mapping[str, float]:
         """A JSON-ready summary (the ``{"op": "metrics"}`` response)."""
         with self._lock:
-            samples = self._latencies.samples()
+            p50, p95, p99 = self._latencies.percentiles(0.50, 0.95, 0.99)
             snapshot = {
                 "uptime_seconds": round(self.uptime_seconds, 6),
                 "requests": self.requests,
@@ -245,9 +230,9 @@ class ServiceMetrics:
                 "degraded": self.degraded,
                 "batches": self.batches,
                 "mean_batch_occupancy": round(self.mean_batch_occupancy, 3),
-                "latency_p50": round(percentile(samples, 0.50), 6),
-                "latency_p95": round(percentile(samples, 0.95), 6),
-                "latency_p99": round(percentile(samples, 0.99), 6),
+                "latency_p50": round(p50, 6),
+                "latency_p95": round(p95, 6),
+                "latency_p99": round(p99, 6),
                 "stream_tuples": self.engine_stats.stream_tuples,
                 "candidates": self.engine_stats.candidates,
                 "resources": self.resources.snapshot(),
@@ -256,7 +241,7 @@ class ServiceMetrics:
             # seconds per call, so operators can see *where* latency
             # lives (drain vs search) and how batching amortizes it.
             for phase, spent in self.timer.totals.items():
-                calls = self.phase_calls.get(phase, 0)
+                calls = self.timer.calls.get(phase, 0)
                 snapshot[f"seconds_{phase}"] = round(spent, 6)
                 snapshot[f"calls_{phase}"] = calls
                 snapshot[f"mean_seconds_{phase}"] = (

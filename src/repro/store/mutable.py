@@ -660,7 +660,12 @@ class DeltaInvertedIndex:
             avg_list_length=sum(lengths) / len(lengths),
         )
 
-    def memory_bytes(self) -> int:
-        """Cheap footprint estimate (shared overlay postings, counted
-        once per engine build instead of deep-walked)."""
-        return self._overlay.posting_bytes()
+    def nbytes(self) -> int:
+        """This view's share of the overlay's one shared posting store
+        (O(1): the store's estimate scaled by the fraction of live sets
+        the view covers), so an engine's partition views sum to one
+        store rather than one per partition."""
+        total = self._overlay.posting_bytes()
+        if self._members is None:
+            return total
+        return total * len(self._members) // max(1, len(self._overlay))

@@ -1,76 +1,52 @@
-"""Deep memory accounting for search data structures.
+"""Memory accounting for search data structures.
 
 The paper reports the memory footprint of Koios as the sum of the
 footprints of its data structures (token stream, inverted index, buckets,
-top-k lists, priority queues — §VIII-D). ``deep_sizeof`` walks Python
-object graphs, and ``MemoryLedger`` aggregates named structure sizes the
-same way the paper's Table III / Fig. 5d / Fig. 6d do.
+top-k lists, priority queues — §VIII-D). Each structure reports its own
+size through an ``nbytes()`` method built from the per-object costs
+below, and ``MemoryLedger`` aggregates the named sizes the same way the
+paper's Table III / Fig. 5d / Fig. 6d do.
+
+The sizes are estimates: a container's own table is exact
+(``sys.getsizeof``), its entries are charged a fixed per-entry cost, and
+objects a structure merely references (token strings, set-id ints owned
+by the collection) are not charged to it.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Iterable
+from typing import Iterable, Sized
 
-import numpy as np
+#: Per-object costs on the running interpreter.
+FLOAT_BYTES = sys.getsizeof(0.0)
+INT_BYTES = sys.getsizeof(1 << 20)
 
 
-def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
-    """Recursively estimate the memory footprint of ``obj`` in bytes.
+def tuple_bytes(length: int) -> int:
+    """Size of one tuple object holding ``length`` references."""
+    return sys.getsizeof(()) + 8 * length
 
-    Shared sub-objects are counted once. NumPy arrays report their buffer
-    size (``nbytes``) plus object overhead, which dominates for the vector
-    stores used by the index substrate.
-    """
-    seen = _seen if _seen is not None else set()
-    oid = id(obj)
-    if oid in seen:
-        return 0
-    seen.add(oid)
 
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes) + sys.getsizeof(obj, 0)
-
-    size = sys.getsizeof(obj, 0)
-    if isinstance(obj, dict):
-        size += sum(
-            deep_sizeof(key, seen) + deep_sizeof(value, seen)
-            for key, value in obj.items()
-        )
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        size += sum(deep_sizeof(item, seen) for item in obj)
-    elif hasattr(obj, "__dict__"):
-        size += deep_sizeof(vars(obj), seen)
-    elif hasattr(obj, "__slots__"):
-        size += sum(
-            deep_sizeof(getattr(obj, slot), seen)
-            for slot in obj.__slots__
-            if hasattr(obj, slot)
-        )
-    return size
+def container_bytes(container: Sized, per_entry: int) -> int:
+    """A list/dict/set's own table plus ``per_entry`` bytes of owned
+    objects per entry — O(1), no walk over the entries."""
+    return sys.getsizeof(container) + len(container) * per_entry
 
 
 class MemoryLedger:
-    """Aggregates the peak deep size of named data structures.
+    """Aggregates the peak size of named data structures.
 
-    Each structure is measured at most when ``measure`` is called;
-    the ledger keeps the maximum seen per name so that freeing refinement
-    structures before post-processing (as Koios does) still reports the
-    peak footprint, matching the paper's accounting.
+    The ledger keeps the maximum recorded per name so that freeing
+    refinement structures before post-processing (as Koios does) still
+    reports the peak footprint, matching the paper's accounting.
     """
 
     def __init__(self) -> None:
         self._peaks: dict[str, int] = {}
 
-    def measure(self, name: str, obj: Any) -> int:
-        """Record the current deep size of ``obj`` under ``name``."""
-        size = deep_sizeof(obj)
-        if size > self._peaks.get(name, 0):
-            self._peaks[name] = size
-        return size
-
     def record(self, name: str, size_bytes: int) -> None:
-        """Record an externally computed size."""
+        """Record the current size of the structure called ``name``."""
         if size_bytes > self._peaks.get(name, 0):
             self._peaks[name] = size_bytes
 

@@ -1,5 +1,7 @@
 """Tests for search statistics accounting."""
 
+import dataclasses
+
 from repro.core import SearchStats
 
 
@@ -85,6 +87,24 @@ class TestMerge:
         assert a.candidates == 200
         assert a.refinement_pruned == 100
         assert a.consistency_ok()
+
+    def test_every_int_field_is_a_merged_counter(self):
+        """A new counter that is not listed would be silently dropped
+        from partition, shard and cluster merges."""
+        int_fields = {
+            field.name
+            for field in dataclasses.fields(SearchStats)
+            if field.type in (int, "int")
+        }
+        assert int_fields == set(SearchStats._COUNTER_FIELDS)
+        assert len(SearchStats._COUNTER_FIELDS) == len(int_fields)
+        a, b = SearchStats(), SearchStats()
+        for offset, name in enumerate(SearchStats._COUNTER_FIELDS):
+            setattr(a, name, 1)
+            setattr(b, name, offset + 2)
+        a.merge(b)
+        for offset, name in enumerate(SearchStats._COUNTER_FIELDS):
+            assert getattr(a, name) == offset + 3, name
 
     def test_final_similarity_takes_max(self):
         a, b = SearchStats(), SearchStats()

@@ -323,6 +323,31 @@ class TestWireProtocol:
         ids = run_gateway_scenario(gateway_dir, scenario)
         assert ids == [f"q{i}" for i in range(10)]
 
+    def test_search_only_connection_retains_only_inflight_tasks(
+        self, gateway_dir
+    ):
+        """No op line ever drains this connection, so finished search
+        tasks must drop themselves: what the connection holds is bounded
+        by the in-flight window, not by the requests served."""
+        window, rounds = 4, 16
+
+        async def scenario(server):
+            client = await Client.connect(server.port)
+            for round_no in range(rounds):
+                for slot in range(window):
+                    await client.send(
+                        {"id": f"r{round_no}.{slot}", "tenant": "alpha",
+                         "query": ["seattle", "boston"], "k": 2}
+                    )
+                for _ in range(window):
+                    assert "results" in await client.recv()
+            (conn,) = server._connections
+            retained = len(conn.searches)
+            await client.close()
+            return retained
+
+        assert run_gateway_scenario(gateway_dir, scenario) <= window
+
     def test_graceful_drain_answers_admitted_work(self, gateway_dir):
         async def scenario(server):
             client = await Client.connect(server.port)

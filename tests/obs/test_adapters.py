@@ -1,6 +1,7 @@
 """The metrics → Prometheus adapters, fed by real ServiceMetrics and
 synthetic cluster snapshots (the shapes the coordinator ships)."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -160,3 +161,35 @@ class TestClusterAdapter:
             'repro_worker_requests_total{tenant="alpha",worker="1"}'
         ] == 3
         assert values['repro_cluster_restarts_total{tenant="alpha"}'] == 2
+
+
+class TestGoldenExposition:
+    """A fixed event sequence renders byte-for-byte what it rendered
+    before histogram children became ``StreamingHistogram``s
+    (``golden_metrics.txt`` was produced by that earlier code): edge
+    values, overflow, both the adapter and the direct-observe path."""
+
+    def test_fixed_sequence_matches_the_golden_text(self):
+        now = [100.0]
+        metrics = ServiceMetrics(clock=lambda: now[0])
+        for _ in range(4):
+            metrics.record_accepted()
+        for name, seconds in (
+            ("search", 0.003), ("search", 0.25), ("drain", 20.0),
+            ("merge", 0.0),
+        ):
+            with metrics.phase(name):
+                now[0] += seconds
+        for seconds in (0.0005, 0.02, 0.02, 11.5):
+            metrics.record_completed(seconds)
+        metrics.record_cache_hit()
+        registry = PromRegistry()
+        service_to_registry(registry, metrics, tenant="alpha")
+        direct = registry.histogram(
+            "direct_seconds", "Directly observed", ("kind",),
+            bounds=(0.1, 1.0),
+        ).labels("x")
+        for value in (0.1, 0.05, 1.0, 1.5, 0.7):
+            direct.observe(value)
+        golden = Path(__file__).with_name("golden_metrics.txt").read_text()
+        assert registry.render() == golden

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.obs import PromRegistry
+from repro.obs import PromRegistry, StreamingHistogram
 from repro.obs.prom import parse_exposition
 
 
@@ -106,30 +106,37 @@ class TestHistogram:
         assert values['h_seconds_count{tenant="a"}'] == 4
         assert values['h_seconds_sum{tenant="a"}'] == pytest.approx(6.05)
 
-    def test_load_overwrites_from_streaming_state(self):
+    def test_replace_overwrites_from_streaming_state(self):
         registry = PromRegistry()
-        child = registry.histogram(
-            "h_seconds", "help", bounds=(0.1, 1.0)
-        ).labels()
-        child.load(sum=2.5, count=5, bucket_counts=[2, 2])
+        family = registry.histogram("h_seconds", "help", bounds=(0.1, 1.0))
+        family.labels().observe(0.05)
+        state = {"bounds": [0.1, 1.0], "counts": [2, 2], "count": 5, "sum": 2.5}
+        family.replace((), StreamingHistogram.from_state(state))
         values = parse_exposition(registry.render())
         assert values['h_seconds_bucket{le="0.1"}'] == 2
         assert values['h_seconds_bucket{le="1"}'] == 4
         # count carries the overflow bucket: 5 total, 4 under bounds.
         assert values['h_seconds_bucket{le="+Inf"}'] == 5
-        with pytest.raises(ValueError, match="length mismatch"):
-            child.load(sum=0, count=0, bucket_counts=[1])
+        assert values["h_seconds_count"] == 5
+        with pytest.raises(ValueError, match="expected labels"):
+            family.replace(("extra",), StreamingHistogram.from_state(state))
 
-    def test_merge_load_accumulates_worker_states(self):
+    def test_merge_accumulates_worker_states(self):
         registry = PromRegistry()
         child = registry.histogram(
             "h_seconds", "help", bounds=(0.1,)
         ).labels()
-        child.merge_load(sum=1.0, count=2, bucket_counts=[2])
-        child.merge_load(sum=3.0, count=4, bucket_counts=[1])
-        assert child.sum == 4.0
-        assert child.count == 6
-        assert child.bucket_counts == [3.0]
+        for counts, count, total in (([2], 2, 1.0), ([1], 4, 3.0)):
+            child.merge(
+                StreamingHistogram.from_state(
+                    {"bounds": [0.1], "counts": counts, "count": count,
+                     "sum": total}
+                )
+            )
+        values = parse_exposition(registry.render())
+        assert values['h_seconds_bucket{le="0.1"}'] == 3
+        assert values['h_seconds_bucket{le="+Inf"}'] == 6
+        assert values["h_seconds_sum"] == 4.0
 
 
 class TestTenantLabelEscaping:

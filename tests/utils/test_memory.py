@@ -1,57 +1,29 @@
-"""Tests for deep memory accounting."""
+"""Tests for the memory ledger and the size-estimate helpers."""
 
-import numpy as np
+import sys
+
 import pytest
 
-from repro.utils import MemoryLedger, deep_sizeof
+from repro.utils import MemoryLedger
+from repro.utils.memory import container_bytes, tuple_bytes
 
 
-class Slotted:
-    __slots__ = ("a", "b")
+class TestEstimateHelpers:
+    def test_tuple_bytes_matches_the_interpreter(self):
+        assert tuple_bytes(3) == sys.getsizeof((1.0, "a", None))
 
-    def __init__(self):
-        self.a = [1, 2, 3]
-        self.b = "text"
-
-
-class TestDeepSizeof:
-    def test_numpy_buffer_dominates(self):
-        arr = np.zeros(10_000, dtype=np.float64)
-        assert deep_sizeof(arr) >= arr.nbytes
-
-    def test_containers_counted_recursively(self):
-        flat = deep_sizeof([1, 2, 3])
-        nested = deep_sizeof([[1, 2, 3], [4, 5, 6]])
-        assert nested > flat
-
-    def test_shared_objects_counted_once(self):
-        shared = list(range(1000))
-        duplicated = deep_sizeof([shared, list(range(1000))])
-        aliased = deep_sizeof([shared, shared])
-        assert aliased < duplicated
-
-    def test_dict_keys_and_values(self):
-        small = deep_sizeof({})
-        big = deep_sizeof({"key" * 10: "value" * 100})
-        assert big > small
-
-    def test_objects_with_dict(self):
-        class Holder:
-            def __init__(self):
-                self.payload = list(range(500))
-
-        assert deep_sizeof(Holder()) > deep_sizeof(list(range(500)))
-
-    def test_objects_with_slots(self):
-        assert deep_sizeof(Slotted()) > 0
+    def test_container_bytes_is_table_plus_entries(self):
+        values = {i: float(i) for i in range(100)}
+        assert container_bytes(values, 52) == sys.getsizeof(values) + 5200
+        assert container_bytes([], 52) == sys.getsizeof([])
 
 
 class TestMemoryLedger:
-    def test_measure_and_total(self):
+    def test_record_and_total(self):
         ledger = MemoryLedger()
-        size = ledger.measure("x", [1, 2, 3])
-        assert size > 0
-        assert ledger.total_bytes == size
+        ledger.record("x", 120)
+        ledger.record("y", 30)
+        assert ledger.total_bytes == 150
 
     def test_keeps_peak(self):
         ledger = MemoryLedger()

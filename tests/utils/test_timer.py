@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.utils import PhaseTimer
+from repro.utils.timer import Stopwatch, timed
 
 
 class TestPhaseTimer:
@@ -60,3 +61,39 @@ class TestPhaseTimer:
         b.totals["y"] = 3.0
         a.merge(b)
         assert a.totals == {"x": 3.0, "y": 3.0}
+
+    def test_add_is_the_one_accumulate_point(self):
+        """``phase`` blocks, direct ``add`` and ``merge`` all count
+        calls alongside seconds."""
+        a, b = PhaseTimer(), PhaseTimer()
+        a.add("x", 1.5)
+        with a.phase("x"):
+            pass
+        b.add("x", 2.0)
+        b.add("y", 0.25)
+        b.add("y", 0.25)
+        a.merge(b)
+        assert a.calls == {"x": 3, "y": 2}
+        assert a.seconds("y") == 0.5
+        assert a.seconds("x") >= 3.5
+
+
+class TestStopwatch:
+    def test_reads_an_injected_clock_and_freezes_on_stop(self):
+        now = [10.0]
+        watch = Stopwatch(lambda: now[0])
+        now[0] = 12.5
+        assert watch.seconds == 2.5
+        assert watch.stop() == 2.5
+        now[0] = 99.0
+        assert watch.seconds == 2.5
+        watch.restart()
+        now[0] = 100.0
+        assert watch.seconds == 1.0
+
+    def test_timed_block_stops_on_exit(self):
+        now = [0.0]
+        with timed(lambda: now[0]) as watch:
+            now[0] = 3.0
+        now[0] = 8.0
+        assert watch.seconds == 3.0
