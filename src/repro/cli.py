@@ -55,7 +55,6 @@ from pathlib import Path
 
 from repro.core.config import FilterConfig
 from repro.core.koios import KoiosSearchEngine
-from repro.datasets.collection import SetCollection
 from repro.datasets.io import load_collection_auto, save_collection_json
 from repro.datasets.profiles import profile_by_name
 from repro.datasets.synthetic import generate_dataset
@@ -73,6 +72,8 @@ from repro.service import (
     GracefulShutdown,
     QueryScheduler,
     ResultCache,
+    SearchRequest,
+    protocol,
     run_batch,
     serve_lines,
 )
@@ -117,41 +118,6 @@ def package_version() -> str:
         import repro
 
         return repro.__version__
-
-
-def _load_collection(path: str) -> SetCollection:
-    """Shared format-sniffing loader (JSON / long CSV / snapshot)."""
-    return load_collection_auto(path)
-
-
-def _substrate_descriptor(args: argparse.Namespace) -> dict:
-    """See :func:`repro.service.bootstrap.substrate_descriptor`."""
-    return substrate_descriptor(
-        jaccard=args.jaccard, dim=args.dim, alpha=args.alpha
-    )
-
-
-def _build_substrate(collection: SetCollection, args: argparse.Namespace):
-    """See :func:`repro.service.bootstrap.build_substrate`."""
-    return build_substrate(
-        collection, jaccard=args.jaccard, dim=args.dim, alpha=args.alpha
-    )
-
-
-def _load_serving_stack(args: argparse.Namespace):
-    """See :func:`repro.service.bootstrap.load_serving_stack`."""
-    return load_serving_stack(
-        args.collection,
-        alpha=args.alpha,
-        jaccard=args.jaccard,
-        dim=args.dim,
-    )
-
-
-def _load_stack(args: argparse.Namespace):
-    """``(collection, token_index, sim)`` — see :func:`_load_serving_stack`."""
-    collection, index, sim, _, _ = _load_serving_stack(args)
-    return collection, index, sim
 
 
 def _configure_tracing(args: argparse.Namespace) -> None:
@@ -230,7 +196,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """``repro stats``: print Table-I shape statistics as JSON."""
-    stats = _load_collection(args.collection).stats()
+    stats = load_collection_auto(args.collection).stats()
     print(json.dumps(
         {
             "num_sets": stats.num_sets,
@@ -245,7 +211,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     """``repro search``: top-k semantic overlap search over a collection."""
-    collection, index, sim = _load_stack(args)
+    collection, index, sim, _, _ = load_serving_stack(
+        args.collection, alpha=args.alpha, jaccard=args.jaccard, dim=args.dim
+    )
     query = frozenset(args.token)
     engine = KoiosSearchEngine(
         collection,
@@ -278,10 +246,11 @@ def _run_serve_loop(scheduler: QueryScheduler, linger: int) -> int:
     drain in-flight work, emit pending responses, flush/close the WAL
     (via ``scheduler.shutdown``), and report — exit code 0 either way."""
     _install_shutdown_handlers()
+    # Raw bytes where stdin has them: the protocol owns UTF-8 decoding,
+    # so an undecodable line is answered instead of killing the loop.
+    lines = getattr(sys.stdin, "buffer", sys.stdin)
     try:
-        served = serve_lines(
-            scheduler, sys.stdin, sys.stdout, linger=linger
-        )
+        served = serve_lines(scheduler, lines, sys.stdout, linger=linger)
     except GracefulShutdown:
         # The signal landed outside the serve loop's own handling
         # (e.g. between setup and the first read); nothing was dropped.
@@ -308,7 +277,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     """``repro batch``: answer a query file through the serving stack."""
-    with open(args.queries, encoding="utf-8") as handle:
+    with open(args.queries, "rb") as handle:
         lines = handle.readlines()
     with _build_scheduler(args) as scheduler:
         responses = run_batch(scheduler, lines)
@@ -333,33 +302,25 @@ def cmd_explain(args: argparse.Namespace) -> int:
     report — the pruning funnel (per partition and merged), per-phase
     seconds, verification cost estimates, and cache attribution."""
     from repro.obs.explain import render_explain
-    from repro.service.request import SearchRequest
 
-    with open(args.queries, encoding="utf-8") as handle:
-        lines = [
-            line.strip() for line in handle
-            if line.strip() and not line.strip().startswith("#")
-        ]
-    failures = 0
+    with open(args.queries, "rb") as handle:
+        lines = handle.readlines()
+    number = failures = 0
     with _build_scheduler(args) as scheduler:
-        for number, line in enumerate(lines, start=1):
+        for line in lines:
+            kind, value = protocol.decode(line)
+            if kind is protocol.BLANK:
+                continue
+            number += 1
             if number > 1:
                 print()
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            if kind is protocol.MALFORMED:
                 raise InvalidParameterError(
-                    f"bad request JSON on line {number}: {exc}"
-                ) from exc
-            if isinstance(obj, list):
-                obj = {"query": obj}
-            if not isinstance(obj, dict):
-                raise InvalidParameterError(
-                    f"line {number}: request must be a JSON object or "
-                    "token array"
+                    f"line {number}: {value.error}"
                 )
-            obj["explain"] = True
-            response = scheduler.answer(SearchRequest.from_obj(obj))
+            response = scheduler.answer(
+                SearchRequest.from_obj(protocol.explain_request(value))
+            )
             if response.error is not None:
                 print(f"# {response.request_id}: {response.error}")
                 failures += 1
@@ -377,8 +338,8 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
     from repro.store.mutable import MutableSetCollection
 
     _configure_tracing(args)  # before spawn: worker specs capture it
-    collection, index, sim, descriptor, snapshot_path = (
-        _load_serving_stack(args)
+    collection, index, sim, descriptor, snapshot_path = load_serving_stack(
+        args.collection, alpha=args.alpha, jaccard=args.jaccard, dim=args.dim
     )
     wal = None
     bootstrap_records = ()
@@ -439,8 +400,10 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
         zipf_queries,
     )
 
-    collection = _load_collection(args.collection)
-    descriptor = _substrate_descriptor(args)
+    collection = load_collection_auto(args.collection)
+    descriptor = substrate_descriptor(
+        jaccard=args.jaccard, dim=args.dim, alpha=args.alpha
+    )
     try:
         worker_counts = sorted(
             {int(part) for part in args.workers.split(",") if part.strip()}
@@ -470,7 +433,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     )
     for line in format_report(results):
         print(line, file=sys.stderr)
-    print(json.dumps(results, separators=(",", ":")))
+    print(protocol.encode(results))
     return 0
 
 
@@ -485,8 +448,10 @@ def cmd_cluster_chaos(args: argparse.Namespace) -> int:
         run_chaos,
     )
 
-    collection = _load_collection(args.collection)
-    descriptor = _substrate_descriptor(args)
+    collection = load_collection_auto(args.collection)
+    descriptor = substrate_descriptor(
+        jaccard=args.jaccard, dim=args.dim, alpha=args.alpha
+    )
     if args.smoke:
         # The CI shape: short workload, 2 kills + 1 slow worker, tight
         # deadline — enough to exercise failover, background restart,
@@ -519,7 +484,7 @@ def cmd_cluster_chaos(args: argparse.Namespace) -> int:
     )
     for line in format_chaos_report(report):
         print(line, file=sys.stderr)
-    print(json.dumps(report, separators=(",", ":")))
+    print(protocol.encode(report))
     return 0 if report["ok"] else 1
 
 
@@ -614,8 +579,10 @@ def cmd_index_build(args: argparse.Namespace) -> int:
             f"snapshot output should end in .snap or .snapshot, got "
             f"{output.name!r}"
         )
-    collection = _load_collection(args.collection)
-    index, _, descriptor = _build_substrate(collection, args)
+    collection = load_collection_auto(args.collection)
+    index, _, descriptor = build_substrate(
+        collection, jaccard=args.jaccard, dim=args.dim, alpha=args.alpha
+    )
     manifest = save_snapshot(
         output,
         collection,

@@ -1,67 +1,44 @@
 """The asyncio network front end: TCP JSON-lines + a minimal HTTP POST
 adapter, multi-tenant, quota-checked, admission-controlled.
 
-Wire protocol (TCP, newline-delimited JSON — a superset of the stdin
-protocol of ``repro serve``)::
+Lines, ops and refusal shapes are those of
+:mod:`repro.service.protocol`; this transport adds tenants::
 
     {"op": "hello", "tenant": "alpha", "token": "s3cret"}
                       -> {"ok": true, "tenant": "alpha"}  (binds the
                          connection; optional when one tenant exists)
-    {"id": "q1", "query": ["LA", "NYC"], "k": 5}
-                      -> a SearchResponse line, or a structured
-                         rejection {"id": "q1", "error": ...,
-                         "rejected": true, "retry_after_seconds": r}
-    {"op": "insert"|"delete"|"replace", ...}
-                      -> the mutation ack (quota-checked against the
-                         tenant's mutation bucket)
-    {"op": "metrics"} -> the bound tenant's metrics snapshot
-    {"op": "prometheus"}
-                      -> the bound tenant's Prometheus exposition text
     {"op": "stats"}   -> the gateway rollup (per-tenant + totals)
-    {"op": "slo"}     -> the bound tenant's burn-rate snapshot
-    {"op": "explain", "query": [...], ...}
-                      -> run the search (quota/admission like any
-                         search) and attach the EXPLAIN report
-    {"op": "flush"|"invalidate"}
-                      -> tenant-scoped scheduler controls
 
-A search line may carry ``"trace_id"`` to join the request into a
-caller-owned trace; with tracing enabled (``--trace``) the gateway
-opens a ``gateway.request`` root span either way and threads its
-context through admission, the scheduler, the engine phases, and —
-for cluster-backed tenants — across the worker wire.
+Every other op, and every search, addresses the bound tenant or the one
+a ``"tenant": "name"`` field on the line names (re-authenticated
+against the connection's token). Searches (``explain`` is one) and
+mutations are charged to the tenant's quota — refused with
+``"rejected": true`` and ``"retry_after_seconds"`` — and pass its
+admission queue, which sheds with ``"shed": true`` as well.
 
-Every request line may carry ``"tenant": "name"`` to address a tenant
-explicitly (re-authenticated against the connection's token). Requests
-on one connection are answered **in arrival order**; searches execute
-concurrently, and a mutation op waits for the connection's in-flight
+Requests on one connection are answered **in arrival order**; searches
+execute concurrently, and an op waits for the connection's in-flight
 searches first, so earlier requests observe the pre-mutation state —
-the same ordering contract ``serve_lines`` keeps on stdin.
+the same ordering contract ``serve_lines`` keeps on stdin. A bad line
+is answered and the connection kept; only a line over
+``MAX_LINE_BYTES`` closes it, after its error reply, because the rest
+of that line cannot be told from the next request.
 
 The HTTP/1.1 adapter shares the listener: a request whose first bytes
-look like an HTTP method is parsed as ``POST /`` (body = one JSON
-object or many JSON lines; tenant from ``X-Repro-Tenant`` or the
-``/tenant/<name>`` path; token from ``Authorization: Bearer``) or
-``GET /stats``, ``GET /metrics`` (Prometheus text exposition),
-``GET /healthz`` (liveness), ``GET /readyz`` (readiness — 503 while
-draining, while any tenant's admission queue is saturated, while a
-cluster worker is down, or while a WAL will not flush), or ``GET
-/slo`` (per-tenant burn-rate snapshots). An
-``X-Trace-Id`` header maps onto the ``trace_id`` field of each body
-line. A single rejected request maps to ``429`` with a ``Retry-After``
-header; everything else answers ``200`` with one JSON response per
-line.
-
-Shutdown (SIGINT/SIGTERM or :meth:`GatewayServer.request_shutdown`)
-reuses the cluster's graceful-drain semantics: stop accepting, let
-every admitted job finish and its response flush, then close each
-tenant's scheduler and WAL, and return — exit code 0.
+look like an HTTP method is parsed as ``POST /`` (body = request lines;
+tenant from ``X-Repro-Tenant`` or the ``/tenant/<name>`` path; token
+from ``Authorization: Bearer``; ``X-Trace-Id`` becomes each line's
+``trace_id``) or ``GET /stats``, ``/metrics``, ``/healthz``,
+``/readyz``, ``/slo`` (``docs/gateway.md``). Status is ``200`` with one
+JSON response per line, except: a single rejected request ``429`` with
+``Retry-After``; a negative or non-integer ``Content-Length`` ``400``,
+one over ``MAX_LINE_BYTES`` ``413``; failed auth ``401``; an unknown
+tenant or path ``404``; another method ``405``; not ready ``503``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,21 +53,40 @@ from repro.gateway.quota import MUTATION, SEARCH
 from repro.gateway.tenants import Tenant, TenantRegistry
 from repro.obs import PromRegistry, get_tracer
 from repro.obs.adapters import cluster_to_registry, gateway_to_registry
-from repro.service.request import SearchRequest, SearchResponse
-from repro.service.server import control_line
-
-_COMPACT = {"separators": (",", ":")}
+from repro.service import protocol
+from repro.service.protocol import (
+    BLANK,
+    MALFORMED,
+    MAX_LINE_BYTES,
+    OP,
+    error_reply,
+)
+from repro.service.request import SearchResponse
 
 #: HTTP methods the adapter recognizes on a fresh connection.
 _HTTP_METHODS = (b"POST ", b"GET ", b"PUT ", b"HEAD ")
 
-#: Ops the JSON-lines handler accepts (superset of ``serve_lines``).
-_TENANT_OPS = {"metrics", "prometheus", "flush", "invalidate", "slo"}
-_MUTATION_OPS = {"insert", "delete", "replace"}
+#: What a handler hands the writer: encoded once, at the socket.
+Reply = dict | SearchResponse
 
 
-def _error_line(message: str, **extra: Any) -> str:
-    return json.dumps({"error": message, **extra}, **_COMPACT)
+class _Refused(Exception):
+    """A request that gets ``reply`` instead of service; over HTTP,
+    when it refuses the whole exchange, with ``status``."""
+
+    def __init__(self, message: str, status: int = 404, **extra: Any):
+        super().__init__(message)
+        self.status = status
+        self.reply = error_reply(message, **extra)
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes | None:
+    """One line (``b""`` at EOF), or ``None`` when it overran
+    ``MAX_LINE_BYTES`` — the stream is then out of step for good."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
 
 
 @dataclass(eq=False)  # identity semantics: connections live in sets
@@ -102,7 +98,9 @@ class _Connection:
     writer: asyncio.StreamWriter
     tenant: Tenant | None = None
     token: str | None = None
-    out_queue: "asyncio.Queue[asyncio.Task | None]" = field(
+    #: Replies in arrival order: a task still computing one, or one
+    #: that was ready on arrival; ``None`` ends the writer.
+    out_queue: "asyncio.Queue[asyncio.Task | Reply | None]" = field(
         default_factory=asyncio.Queue
     )
     #: In-flight searches only: each task removes itself when it
@@ -157,7 +155,10 @@ class GatewayServer:
         a ``port=0`` bind (tests and smoke runs)."""
         try:
             self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.port
+                self._on_connection,
+                host=self.host,
+                port=self.port,
+                limit=MAX_LINE_BYTES,
             )
         except OSError as exc:
             raise GatewayError(
@@ -228,11 +229,14 @@ class GatewayServer:
 
     async def _handle_connection(self, conn: _Connection) -> None:
         try:
-            first = await conn.reader.readline()
-            if not first:
+            first = await _readline(conn.reader)
+            if first == b"":
                 return
-            if any(first.startswith(method) for method in _HTTP_METHODS):
-                await self._serve_http(conn, first)
+            if first and first.startswith(_HTTP_METHODS):
+                try:
+                    await self._serve_http(conn, first)
+                except _Refused as refused:
+                    await _http_reply(conn, refused.status, [refused.reply])
             else:
                 await self._serve_jsonl(conn, first)
         except (
@@ -248,17 +252,23 @@ class GatewayServer:
 
     # -- JSON-lines transport ---------------------------------------------
 
-    async def _serve_jsonl(self, conn: _Connection, first: bytes) -> None:
+    async def _serve_jsonl(
+        self, conn: _Connection, first: bytes | None
+    ) -> None:
         writer_task = asyncio.get_running_loop().create_task(
             self._write_ordered(conn)
         )
         try:
-            line: bytes | None = first
+            line = first
             while line:
                 await self._accept_line(conn, line)
                 if self._shutdown_requested.is_set():
                     break
-                line = await conn.reader.readline()
+                line = await _readline(conn.reader)
+            if line is None:
+                # Over-long: say so after the earlier replies, then
+                # close — the rest of that line is still arriving.
+                await conn.out_queue.put(protocol.OVERSIZE)
         finally:
             await conn.out_queue.put(None)
             await writer_task
@@ -267,17 +277,17 @@ class GatewayServer:
         """Emit responses in arrival order (tasks complete out of order;
         the queue restores the wire order)."""
         while True:
-            task = await conn.out_queue.get()
-            if task is None:
+            item = await conn.out_queue.get()
+            if item is None:
                 return
             try:
-                text = await task
+                if isinstance(item, asyncio.Task):
+                    item = await item
+                text = protocol.encode(item)
             except Exception as exc:  # noqa: BLE001 — keep the conn alive
-                text = _error_line(
+                text = protocol.encode(error_reply(
                     f"internal error: {type(exc).__name__}: {exc}"
-                )
-            if text is None:
-                continue
+                ))
             try:
                 conn.writer.write(text.encode("utf-8") + b"\n")
                 await conn.writer.drain()
@@ -285,75 +295,87 @@ class GatewayServer:
                 return  # client is gone; drain remaining tasks silently
 
     async def _accept_line(self, conn: _Connection, raw: bytes) -> None:
-        """Parse one line and enqueue its (concurrent) handling."""
+        """Decode one line and enqueue its (concurrent) handling."""
+        kind, value = protocol.decode(raw)
+        if kind is BLANK:
+            return
         loop = asyncio.get_running_loop()
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(b"#"):
-            return
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            obj = SearchResponse.failure(
-                "parse", f"bad request JSON: {exc}"
-            )
-            task = loop.create_task(_immediate(obj.to_json()))
-            await conn.out_queue.put(task)
-            return
-        if isinstance(obj, dict) and isinstance(obj.get("op"), str):
+        if kind is MALFORMED:
+            item = value  # the failure reply itself
+        elif kind is OP:
             # Ops are barriers: like serve_lines, a mutation (or any
             # control op) first waits for the connection's in-flight
             # searches, so earlier requests observe the old state.
             await conn.drain_searches()
-            task = loop.create_task(self._handle_op(conn, obj))
+            item = loop.create_task(self._handle_op(conn, value))
         else:
-            task = loop.create_task(self._handle_search(conn, obj))
-            conn.searches.add(task)
-            task.add_done_callback(conn.searches.discard)
-        await conn.out_queue.put(task)
+            item = loop.create_task(self._handle_search(conn, value))
+            conn.searches.add(item)
+            item.add_done_callback(conn.searches.discard)
+        await conn.out_queue.put(item)
 
     # -- tenant resolution -------------------------------------------------
 
-    def _resolve_tenant(
-        self, conn: _Connection, obj: dict | None
-    ) -> Tenant | str:
-        """The tenant a request addresses, or an error line (str)."""
-        name = None
-        if isinstance(obj, dict):
-            raw_name = obj.get("tenant")
-            if raw_name is not None:
-                if not isinstance(raw_name, str):
-                    return _error_line('"tenant" must be a string')
-                name = raw_name
-        if name is None:
-            if conn.tenant is not None:
-                return conn.tenant
-            sole = self.registry.sole_tenant
-            if sole is None:
-                return _error_line(
-                    'tenant required: bind one with {"op": "hello", '
-                    '"tenant": ...} or add a "tenant" field '
-                    f"(configured: {self.registry.names})"
-                )
-            tenant = sole
-        else:
-            found = self.registry.get(name)
-            if found is None:
-                return _error_line(
-                    f"unknown tenant {name!r} "
-                    f"(configured: {self.registry.names})"
-                )
-            tenant = found
-        if not self.auth.authenticate(tenant.name, conn.token):
+    def _named_tenant(self, name: str) -> Tenant:
+        tenant = self.registry.get(name)
+        if tenant is None:
+            raise _Refused(
+                f"unknown tenant {name!r} "
+                f"(configured: {self.registry.names})"
+            )
+        return tenant
+
+    def _authenticated(self, tenant: Tenant, token: str | None) -> Tenant:
+        if not self.auth.authenticate(tenant.name, token):
             tenant.metrics.record_rejected()
-            return _error_line(
+            raise _Refused(
                 f"authentication failed for tenant {tenant.name!r}",
+                401,
                 auth=False,
             )
         return tenant
 
+    def _resolve_tenant(self, conn: _Connection, obj: dict) -> Tenant:
+        """The authenticated tenant a request addresses; raises
+        :class:`_Refused` when there is none."""
+        name = obj.get("tenant")
+        if name is None:
+            if conn.tenant is not None:
+                return conn.tenant
+            tenant = self.registry.sole_tenant
+            if tenant is None:
+                raise _Refused(
+                    'tenant required: bind one with {"op": "hello", '
+                    '"tenant": ...} or add a "tenant" field '
+                    f"(configured: {self.registry.names})"
+                )
+        elif not isinstance(name, str):
+            raise _Refused('"tenant" must be a string')
+        else:
+            tenant = self._named_tenant(name)
+        return self._authenticated(tenant, conn.token)
+
+    def _handle_hello(self, conn: _Connection, obj: dict) -> dict:
+        name = obj.get("tenant")
+        if isinstance(name, str):
+            tenant = self._named_tenant(name)
+        else:
+            tenant = self.registry.sole_tenant
+            if tenant is None:
+                raise _Refused(
+                    'hello needs a "tenant" name '
+                    f"(configured: {self.registry.names})"
+                )
+        token = obj.get("token")
+        if token is not None and not isinstance(token, str):
+            raise _Refused('"token" must be a string')
+        conn.tenant = self._authenticated(tenant, token)
+        conn.token = token
+        return {"ok": True, "tenant": tenant.name}
+
     # -- request handlers --------------------------------------------------
 
-    async def _handle_search(self, conn: _Connection, obj: Any) -> str:
+    async def _handle_search(self, conn: _Connection, obj: dict) -> Reply:
         tracer = get_tracer()
         if not tracer.enabled:
             return await self._answer_search(conn, obj, root=None)
@@ -361,35 +383,25 @@ class GatewayServer:
         # trace_id (the line's "trace_id" field; the HTTP adapter maps
         # X-Trace-Id onto it) joins the gateway into the caller's
         # trace; otherwise a fresh one is issued here.
-        trace_id = None
-        if isinstance(obj, dict):
-            raw = obj.get("trace_id")
-            if isinstance(raw, str) and raw:
-                trace_id = raw
+        raw = obj.get("trace_id")
+        trace_id = raw if isinstance(raw, str) and raw else None
         with tracer.span("gateway.request", trace_id=trace_id) as root:
             return await self._answer_search(conn, obj, root=root)
 
     async def _answer_search(
-        self, conn: _Connection, obj: Any, *, root: Any
-    ) -> str:
-        try:
-            request = SearchRequest.from_obj(
-                {k: v for k, v in obj.items() if k != "tenant"}
-                if isinstance(obj, dict)
-                else obj
-            )
-        except ReproError as exc:
+        self, conn: _Connection, obj: dict, *, root: Any
+    ) -> Reply:
+        request = protocol.search_request(obj)
+        if isinstance(request, SearchResponse):
             if root is not None:
                 root.annotate(outcome="parse_error")
-            return SearchResponse.failure("parse", str(exc)).to_json()
-        resolved = self._resolve_tenant(
-            conn, obj if isinstance(obj, dict) else None
-        )
-        if isinstance(resolved, str):
+            return request
+        try:
+            tenant = self._resolve_tenant(conn, obj)
+        except _Refused as refused:
             if root is not None:
                 root.annotate(outcome="tenant_error")
-            return resolved
-        tenant = resolved
+            return refused.reply
         trace_context = None
         if root is not None:
             root.annotate(tenant=tenant.name, request_id=request.request_id)
@@ -403,12 +415,10 @@ class GatewayServer:
             tenant.metrics.record_rejected()
             if root is not None:
                 root.annotate(outcome="rejected")
-            return json.dumps(
-                rejection.to_obj(request.request_id), **_COMPACT
-            )
+            return rejection.to_obj(request.request_id)
         scheduler = tenant.scheduler
         try:
-            response = await self.admission.submit(
+            return await self.admission.submit(
                 tenant,
                 lambda: scheduler.answer(request),
                 trace=trace_context,
@@ -416,98 +426,44 @@ class GatewayServer:
         except AdmissionShed as shed:
             if root is not None:
                 root.annotate(outcome="shed")
-            return json.dumps(
-                {
-                    "id": request.request_id,
-                    "error": "request shed under load",
-                    "rejected": True,
-                    "shed": True,
-                    "retry_after_seconds": round(
-                        shed.retry_after_seconds, 6
-                    ),
-                },
-                **_COMPACT,
+            return protocol.shed_reply(
+                shed.retry_after_seconds, request_id=request.request_id
             )
         except ReproError as exc:
             if root is not None:
                 root.annotate(outcome="error")
-            return SearchResponse.failure(
-                request.request_id, str(exc)
-            ).to_json()
-        return response.to_json()
+            return SearchResponse.failure(request.request_id, str(exc))
 
-    async def _handle_op(self, conn: _Connection, obj: dict) -> str:
+    async def _handle_op(self, conn: _Connection, obj: dict) -> Reply:
         op = obj["op"]
-        if op == "hello":
-            return self._handle_hello(conn, obj)
         if op == "stats":
-            return json.dumps(self.stats(), **_COMPACT)
+            return self.stats()
         if op == "explain":
             # A real search wearing an op hat: route it through the
             # search path so quota, admission, and tracing all apply.
-            spec = {key: value for key, value in obj.items() if key != "op"}
-            spec["explain"] = True
+            spec = protocol.explain_request(obj)
             return await self._handle_search(conn, spec)
-        resolved = self._resolve_tenant(conn, obj)
-        if isinstance(resolved, str):
-            return resolved
-        tenant = resolved
+        try:
+            if op == "hello":
+                return self._handle_hello(conn, obj)
+            tenant = self._resolve_tenant(conn, obj)
+        except _Refused as refused:
+            return refused.reply
         scheduler = tenant.scheduler
-        if op in _MUTATION_OPS:
-            rejection = tenant.quota.check(MUTATION)
-            if rejection is not None:
-                tenant.metrics.record_rejected()
-                return json.dumps(rejection.to_obj(), **_COMPACT)
-            try:
-                return await self.admission.submit(
-                    tenant, lambda: control_line(scheduler, obj)
-                )
-            except AdmissionShed as shed:
-                return json.dumps(
-                    {
-                        "error": "mutation shed under load",
-                        "op": op,
-                        "rejected": True,
-                        "shed": True,
-                        "retry_after_seconds": round(
-                            shed.retry_after_seconds, 6
-                        ),
-                    },
-                    **_COMPACT,
-                )
-        if op in _TENANT_OPS:
-            # Cheap scheduler controls: total by construction (the
-            # hardened _control_line never raises).
-            return control_line(scheduler, obj)
-        return _error_line(f"unknown op: {op}", op=op)
-
-    def _handle_hello(self, conn: _Connection, obj: dict) -> str:
-        name = obj.get("tenant")
-        if not isinstance(name, str):
-            sole = self.registry.sole_tenant
-            if sole is None:
-                return _error_line(
-                    'hello needs a "tenant" name '
-                    f"(configured: {self.registry.names})"
-                )
-            name = sole.name
-        tenant = self.registry.get(name)
-        if tenant is None:
-            return _error_line(
-                f"unknown tenant {name!r} "
-                f"(configured: {self.registry.names})"
-            )
-        token = obj.get("token")
-        if token is not None and not isinstance(token, str):
-            return _error_line('"token" must be a string')
-        if not self.auth.authenticate(name, token):
+        if op not in protocol.MUTATION_OPS:
+            # Cheap scheduler controls; control() is total, and names
+            # an op it does not know in its error reply.
+            return protocol.control(scheduler, obj)
+        rejection = tenant.quota.check(MUTATION)
+        if rejection is not None:
             tenant.metrics.record_rejected()
-            return _error_line(
-                f"authentication failed for tenant {name!r}", auth=False
+            return rejection.to_obj()
+        try:
+            return await self.admission.submit(
+                tenant, lambda: protocol.control(scheduler, obj)
             )
-        conn.tenant = tenant
-        conn.token = token
-        return json.dumps({"ok": True, "tenant": name}, **_COMPACT)
+        except AdmissionShed as shed:
+            return protocol.shed_reply(shed.retry_after_seconds, op=op)
 
     def stats(self) -> dict:
         """The gateway rollup (the ``stats`` op and ``GET /stats``)."""
@@ -618,11 +574,12 @@ class GatewayServer:
             parts = first.decode("latin-1").split()
             method, target = parts[0].upper(), parts[1]
         except (IndexError, UnicodeDecodeError):
-            await _http_reply(conn, 400, [_error_line("bad request line")])
-            return
+            raise _Refused("bad request line", 400) from None
         headers: dict[str, str] = {}
         while True:
-            raw = await conn.reader.readline()
+            raw = await _readline(conn.reader)
+            if raw is None:
+                raise _Refused("header line too long", 400)
             if not raw.strip():
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -635,112 +592,75 @@ class GatewayServer:
         if tenant_name is None and path.startswith("/tenant/"):
             tenant_name = path[len("/tenant/"):].strip("/")
         if method == "GET":
-            if path in ("/stats", "/"):
-                await _http_reply(
-                    conn, 200, [json.dumps(self.stats(), **_COMPACT)]
-                )
-            elif path == "/metrics":
+            if path == "/metrics":
                 await _http_reply(
                     conn,
                     200,
-                    [self.prometheus_text().rstrip("\n")],
+                    text=self.prometheus_text().rstrip("\n"),
                     content_type=PromRegistry.CONTENT_TYPE,
                 )
+                return
+            status = 200
+            if path in ("/stats", "/"):
+                reply = self.stats()
             elif path == "/healthz":
                 # Liveness: the event loop answered; nothing else to
                 # prove (readiness is the demanding probe).
-                await _http_reply(
-                    conn,
-                    200,
-                    [json.dumps(
-                        {
-                            "ok": True,
-                            "uptime_seconds": round(
-                                time.monotonic() - self._started, 6
-                            ),
-                        },
-                        **_COMPACT,
-                    )],
-                )
+                uptime = time.monotonic() - self._started
+                reply = {"ok": True, "uptime_seconds": round(uptime, 6)}
             elif path == "/readyz":
-                readiness = self.readiness()
-                await _http_reply(
-                    conn,
-                    200 if readiness["ready"] else 503,
-                    [json.dumps(readiness, **_COMPACT)],
-                )
+                reply = self.readiness()
+                status = 200 if reply["ready"] else 503
             elif path == "/slo":
-                await _http_reply(
-                    conn, 200, [json.dumps(self.slo(), **_COMPACT)]
-                )
+                reply = self.slo()
             else:
-                await _http_reply(
-                    conn, 404, [_error_line(f"no such resource: {path}")]
-                )
+                raise _Refused(f"no such resource: {path}")
+            await _http_reply(conn, status, [reply])
             return
         if method != "POST":
-            await _http_reply(
-                conn, 405, [_error_line(f"method {method} not allowed")]
-            )
-            return
+            raise _Refused(f"method {method} not allowed", 405)
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
-            await _http_reply(
-                conn, 400, [_error_line("bad Content-Length")]
-            )
-            return
-        body = (
-            await conn.reader.readexactly(length) if length else b""
-        )
+            length = -1
+        if length < 0:
+            raise _Refused("bad Content-Length", 400)
+        if length > MAX_LINE_BYTES:
+            raise _Refused(f"body exceeds {MAX_LINE_BYTES} bytes", 413)
+        body = await conn.reader.readexactly(length)
         if tenant_name is not None:
-            resolved = self._resolve_tenant(conn, {"tenant": tenant_name})
-            if isinstance(resolved, str):
-                status = 401 if '"auth":false' in resolved else 404
-                await _http_reply(conn, status, [resolved])
-                return
-            conn.tenant = resolved
+            conn.tenant = self._resolve_tenant(conn, {"tenant": tenant_name})
         trace_header = headers.get("x-trace-id")
-        lines = [ln for ln in body.splitlines() if ln.strip()]
-        responses: list[str] = []
-        for raw_line in lines:
-            try:
-                obj = json.loads(raw_line)
-            except json.JSONDecodeError as exc:
-                responses.append(
-                    SearchResponse.failure(
-                        "parse", f"bad request JSON: {exc}"
-                    ).to_json()
-                )
+        replies: list[Reply] = []
+        for raw_line in body.splitlines():
+            kind, value = protocol.decode(raw_line)
+            if kind is BLANK:
                 continue
-            if isinstance(obj, dict) and isinstance(obj.get("op"), str):
-                responses.append(await self._handle_op(conn, obj))
+            if kind is MALFORMED:
+                replies.append(value)
+            elif kind is OP:
+                replies.append(await self._handle_op(conn, value))
             else:
-                if (
-                    trace_header
-                    and isinstance(obj, dict)
-                    and "trace_id" not in obj
-                ):
+                if trace_header and "trace_id" not in value:
                     # X-Trace-Id maps onto the wire-level trace_id
                     # field, so both transports share one join rule.
-                    obj["trace_id"] = trace_header
-                responses.append(await self._handle_search(conn, obj))
+                    value["trace_id"] = trace_header
+                replies.append(await self._handle_search(conn, value))
         status = 200
         retry_after: float | None = None
         warning: str | None = None
-        degraded_ids: list[str] = []
-        for response in responses:
-            try:
-                decoded = json.loads(response)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(decoded, dict):
-                continue
-            if len(responses) == 1 and decoded.get("rejected"):
-                status = 429
-                retry_after = decoded.get("retry_after_seconds")
-            if decoded.get("degraded"):
-                degraded_ids.append(str(decoded.get("id")))
+        if (
+            len(replies) == 1
+            and isinstance(replies[0], dict)
+            and replies[0].get("rejected")
+        ):
+            status = 429
+            retry_after = replies[0].get("retry_after_seconds")
+        degraded_ids = [
+            reply.request_id
+            for reply in replies
+            if isinstance(reply, SearchResponse) and reply.degraded
+        ]
         if degraded_ids:
             # RFC 7234-style Warning: the answer is valid but partial
             # (>= 1 partition had no live replica). Status stays 200 —
@@ -751,13 +671,9 @@ class GatewayServer:
                 f'coverage ({", ".join(degraded_ids)})"'
             )
         await _http_reply(
-            conn, status, responses,
+            conn, status, replies,
             retry_after=retry_after, warning=warning,
         )
-
-
-async def _immediate(text: str) -> str:
-    return text
 
 
 _HTTP_REASONS = {
@@ -766,6 +682,7 @@ _HTTP_REASONS = {
     401: "Unauthorized",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
     503: "Service Unavailable",
 }
@@ -774,13 +691,17 @@ _HTTP_REASONS = {
 async def _http_reply(
     conn: _Connection,
     status: int,
-    lines: list[str],
+    replies: list[Reply] = (),
     *,
+    text: str | None = None,
     retry_after: float | None = None,
     warning: str | None = None,
     content_type: str = "application/json",
 ) -> None:
-    body = ("\n".join(lines) + "\n").encode("utf-8")
+    """One response: ``replies`` as JSON lines, or ``text`` as is."""
+    if text is None:
+        text = "\n".join(map(protocol.encode, replies))
+    body = (text + "\n").encode("utf-8")
     reason = _HTTP_REASONS.get(status, "OK")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"

@@ -12,7 +12,9 @@ a long-lived server::
   scheduler runs over (:class:`EnginePool` in-process, or the
   multi-process :class:`~repro.cluster.ClusterPool`)
 * :class:`ServiceMetrics` — QPS, latency quantiles, hit/occupancy rates
-* :mod:`repro.service.server` — the JSON-lines protocol used by
+* :mod:`repro.service.protocol` — the wire protocol (decode a line,
+  dispatch a control op, encode a reply) every transport shares
+* :mod:`repro.service.server` — the stream transports over it:
   ``repro serve`` and ``repro batch``
 * :mod:`repro.service.bootstrap` — one construction path
   (:func:`build_serving_stack`) shared by ``repro serve``, ``repro
@@ -33,6 +35,7 @@ from repro.service.bootstrap import (
 from repro.service.cache import CacheKey, ResultCache, make_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import EnginePool, ReadWriteLock, merge_results
+from repro.service.protocol import control as control_line  # public name
 from repro.service.request import (
     Hit,
     SearchRequest,
@@ -42,7 +45,6 @@ from repro.service.request import (
 from repro.service.scheduler import QueryScheduler, Ticket
 from repro.service.server import (
     GracefulShutdown,
-    control_line,
     parse_request_lines,
     run_batch,
     serve_lines,

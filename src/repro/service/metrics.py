@@ -19,6 +19,7 @@ from typing import Iterator, Mapping
 from repro.core.stats import SearchStats
 from repro.obs.accounting import ResourceLedger
 from repro.obs.histogram import Reservoir, StreamingHistogram
+from repro.obs.prom import PromRegistry
 from repro.obs.slo import SLOMonitor
 from repro.utils.timer import PhaseTimer
 
@@ -46,6 +47,10 @@ class ServiceMetrics:
         self._clock = clock
         self.resources = ResourceLedger()
         self.slo = slo if slo is not None else SLOMonitor(clock=clock)
+        #: What the ``prometheus`` wire op renders. It lives as long as
+        #: the counters it projects, which keeps them monotone across
+        #: scrapes.
+        self.prom = PromRegistry()
         self._lock = threading.Lock()
         self._started = clock()
         self.requests = 0

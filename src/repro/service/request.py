@@ -11,14 +11,13 @@ The wire format is deliberately small::
     {"id": "q1", "results": [{"set_id": 3, "name": "cities",
       "score": 1.73, "exact": true}], "cached": false, "seconds": 0.01}
 
-A bare JSON array of tokens is accepted as shorthand for
-``{"query": [...]}`` so query files can be plain token lists.
+Lines become request objects, and responses lines, in
+:mod:`repro.service.protocol`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -70,14 +69,9 @@ class SearchRequest:
             raise InvalidParameterError("alpha must be in (0, 1]")
 
     @classmethod
-    def from_obj(cls, obj: Any) -> "SearchRequest":
-        """Parse one decoded JSON value (object or bare token array)."""
-        if isinstance(obj, list):
-            obj = {"query": obj}
-        if not isinstance(obj, dict):
-            raise InvalidParameterError(
-                "request must be a JSON object or token array"
-            )
+    def from_obj(cls, obj: dict) -> "SearchRequest":
+        """Validate one decoded request object (unknown keys, such as
+        the gateway's ``"tenant"``, are ignored)."""
         tokens = obj.get("query")
         if not isinstance(tokens, list):
             raise InvalidParameterError('request needs a "query" token list')
@@ -104,12 +98,18 @@ class SearchRequest:
         return cls(**kwargs)
 
     @classmethod
-    def from_json(cls, line: str) -> "SearchRequest":
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"bad request JSON: {exc}") from exc
-        return cls.from_obj(obj)
+    def from_json(cls, line: str | bytes) -> "SearchRequest":
+        """One request line -> request; raises where a server would
+        answer a failure line."""
+        # Imported here: the protocol module is built on these types.
+        from repro.service.protocol import BLANK, MALFORMED, decode
+
+        kind, value = decode(line)
+        if kind is BLANK:
+            raise InvalidParameterError("bad request JSON: blank line")
+        if kind is MALFORMED:
+            raise InvalidParameterError(value.error)
+        return cls.from_obj(value)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,9 @@ class SearchResponse:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+        from repro.service.protocol import encode
+
+        return encode(self)
 
     def result_lines(self) -> list[str]:
         """``score  name`` lines, the same layout ``repro search`` prints."""

@@ -1,40 +1,16 @@
 """JSON-lines front-ends: the ``repro serve`` loop and ``repro batch``.
 
-``serve_lines`` implements a newline-delimited JSON protocol over any
-text streams (the CLI wires stdin/stdout): each input line is either a
-search request (see :mod:`repro.service.request`) or a control object::
+Both speak the wire protocol of :mod:`repro.service.protocol` (line
+format, op table, refusal shapes); this module adds only what a stream
+transport needs.
 
-    {"op": "metrics"}      -> one line with the metrics snapshot
-    {"op": "prometheus"}   -> {"prometheus": "<text exposition>", ...}
-                              (the scheduler's metrics rendered in
-                              Prometheus text format)
-    {"op": "stats"}        -> metrics snapshot + backend-side stats
-                              (live latency quantiles incl. p99,
-                              per-phase timing aggregates, and — for a
-                              cluster backend — the per-worker rollup)
-    {"op": "slo"}          -> the SLO monitor's burn-rate snapshot
-    {"op": "explain", "query": [...], ...}
-                           -> run the search and return its response
-                              with the EXPLAIN report attached (same
-                              as a request line with "explain": true)
-    {"op": "invalidate"}   -> drops the result cache
-    {"op": "flush"}        -> dispatches pending micro-batches now
-    {"op": "insert", "name": ..., "tokens": [...]}
-                           -> add a set to the live collection
-    {"op": "delete", "name": ...}
-                           -> remove a set (by name or {"set_id": n})
-    {"op": "replace", "name": ..., "tokens": [...]}
-                           -> swap a set's contents under its name
-
-Mutation ops require the server to hold a mutable collection
-(``repro serve`` wraps one whenever ``--wal`` is given or the input is a
-snapshot); they are applied after the pending response window drains, so
-earlier requests see the old state and later ones the new version.
-
-Requests are answered in arrival order. Lines accumulate into
-micro-batches of up to ``linger`` requests before the scheduler flushes,
-so piping a burst of queries in costs a fraction of the index drains
-that one-at-a-time serving would.
+``serve_lines`` reads lines from any stream (the CLI wires
+stdin/stdout) and answers them in arrival order. Searches accumulate
+into micro-batches of up to ``linger`` requests before the scheduler
+flushes, so piping a burst of queries in costs a fraction of the index
+drains that one-at-a-time serving would. A control op is applied after
+the pending response window drains, so earlier requests see the old
+state and later ones the new version.
 
 ``run_batch`` is the offline variant: parse a whole request file, submit
 everything (maximal batching/dedup/caching), and emit one response line
@@ -43,36 +19,13 @@ per request in input order.
 
 from __future__ import annotations
 
-import json
-import weakref
+from dataclasses import replace
 from typing import Iterable, Iterator, TextIO
 
 from repro.errors import ReproError
+from repro.service import protocol
 from repro.service.request import SearchRequest, SearchResponse
 from repro.service.scheduler import QueryScheduler, Ticket
-
-#: One long-lived Prometheus registry per scheduler (counters must be
-#: monotone across scrapes); weak keys let schedulers die normally.
-_PROM_REGISTRIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _prometheus_line(scheduler: QueryScheduler) -> str:
-    """The ``prometheus`` wire op: this scheduler's metrics as text
-    exposition, wrapped in one JSON line."""
-    from repro.obs import PromRegistry
-    from repro.obs.adapters import service_to_registry
-
-    registry = _PROM_REGISTRIES.get(scheduler)
-    if registry is None:
-        registry = _PROM_REGISTRIES[scheduler] = PromRegistry()
-    service_to_registry(registry, scheduler.metrics)
-    return json.dumps(
-        {
-            "prometheus": registry.render(),
-            "content_type": PromRegistry.CONTENT_TYPE,
-        },
-        separators=(",", ":"),
-    )
 
 
 class GracefulShutdown(Exception):
@@ -83,30 +36,31 @@ class GracefulShutdown(Exception):
 
 
 def parse_request_lines(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
 ) -> Iterator[SearchRequest | SearchResponse]:
-    """Parse request lines, yielding a failure response for bad ones.
+    """Parse request lines, yielding a failure response (labelled
+    ``line-N``) for bad ones.
 
     Blank lines and ``#`` comments are skipped so hand-written query
     files stay pleasant.
     """
     for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        kind, value = protocol.decode(line)
+        if kind is protocol.BLANK:
             continue
-        try:
-            yield SearchRequest.from_json(line)
-        except ReproError as exc:
-            yield SearchResponse.failure(f"line-{number}", str(exc))
+        if kind is not protocol.MALFORMED:
+            value = protocol.search_request(value)
+        if isinstance(value, SearchResponse):
+            value = replace(value, request_id=f"line-{number}")
+        yield value
 
 
 def run_batch(
-    scheduler: QueryScheduler, lines: Iterable[str]
+    scheduler: QueryScheduler, lines: Iterable[str | bytes]
 ) -> list[SearchResponse]:
     """Answer a whole request file; responses in input order."""
-    parsed = list(parse_request_lines(lines))
     tickets: list[Ticket | SearchResponse] = []
-    for item in parsed:
+    for item in parse_request_lines(lines):
         if isinstance(item, SearchRequest):
             try:
                 tickets.append(scheduler.submit(item))
@@ -123,115 +77,9 @@ def run_batch(
     ]
 
 
-def _mutation_args(obj: dict) -> tuple[str | int, list[str] | None]:
-    """Validate and extract (ref, tokens) from a mutation control line."""
-    if "set_id" in obj:
-        if not isinstance(obj["set_id"], int) or isinstance(
-            obj["set_id"], bool
-        ):
-            raise ReproError('"set_id" must be an integer')
-        ref: str | int = obj["set_id"]
-    elif isinstance(obj.get("name"), str):
-        ref = obj["name"]
-    else:
-        raise ReproError('mutation needs a "name" (or "set_id")')
-    tokens = obj.get("tokens")
-    if tokens is not None:
-        if not isinstance(tokens, list) or any(
-            not isinstance(t, str) for t in tokens
-        ):
-            raise ReproError('"tokens" must be a list of strings')
-    return ref, tokens
-
-
-def _control_line(scheduler: QueryScheduler, obj: dict) -> str:
-    """One control op -> one response line.
-
-    Total by construction: *every* failure — a user error
-    (:class:`ReproError`), an unknown op, or an unexpected exception out
-    of a backend hook — becomes a structured ``{"error": ..., "op":
-    ...}`` line. A long-lived server must never lose its serve loop to
-    one bad control line.
-    """
-    op = obj["op"]
-    compact = {"separators": (",", ":")}
-    try:
-        if op == "metrics":
-            return json.dumps(
-                {"metrics": dict(scheduler.metrics.snapshot())}, **compact
-            )
-        if op == "prometheus":
-            return _prometheus_line(scheduler)
-        if op == "stats":
-            payload: dict = {"stats": dict(scheduler.metrics.snapshot())}
-            backend_stats = getattr(scheduler.pool, "stats_snapshot", None)
-            if callable(backend_stats):
-                payload["backend"] = backend_stats()
-            return json.dumps(payload, **compact)
-        if op == "slo":
-            return json.dumps(
-                {"slo": scheduler.metrics.slo.snapshot()}, **compact
-            )
-        if op == "explain":
-            spec = {
-                key: value for key, value in obj.items() if key != "op"
-            }
-            spec["explain"] = True
-            request = SearchRequest.from_obj(spec)
-            return scheduler.answer(request).to_json()
-        if op == "invalidate":
-            dropped = scheduler.invalidate_cache()
-            return json.dumps({"invalidated": dropped}, **compact)
-        if op == "flush":
-            scheduler.flush()
-            return json.dumps({"flushed": True}, **compact)
-        if op in ("insert", "delete", "replace"):
-            ref, tokens = _mutation_args(obj)
-            if op == "insert":
-                if tokens is None:
-                    raise ReproError('"insert" needs a "tokens" list')
-                if not isinstance(ref, str):
-                    raise ReproError('"insert" addresses sets by "name"')
-                set_id = scheduler.insert_set(tokens, name=ref)
-            elif op == "delete":
-                set_id = scheduler.delete_set(ref)
-            else:
-                if tokens is None:
-                    raise ReproError('"replace" needs a "tokens" list')
-                set_id = scheduler.replace_set(ref, tokens)
-            version = scheduler.pool.version
-            return json.dumps(
-                {
-                    "op": op,
-                    "set_id": set_id,
-                    "version": list(version)
-                    if isinstance(version, tuple) else version,
-                },
-                **compact,
-            )
-    except ReproError as exc:
-        return json.dumps({"error": str(exc), "op": op}, **compact)
-    except Exception as exc:  # noqa: BLE001 — the loop must survive
-        return json.dumps(
-            {
-                "error": f"internal error in op {op!r}: "
-                f"{type(exc).__name__}: {exc}",
-                "op": op,
-            },
-            **compact,
-        )
-    return json.dumps({"error": f"unknown op: {op}", "op": op}, **compact)
-
-
-#: Public name for transports layered over the same control protocol
-#: (the network gateway answers tenant-scoped ops through this exact
-#: function, so op semantics can never drift between stdin and TCP).
-control_line = _control_line
-
-
 def serve_lines(
     scheduler: QueryScheduler,
-    in_stream: TextIO,
+    in_stream: Iterable[str | bytes],
     out_stream: TextIO,
     *,
     linger: int = 1,
@@ -273,7 +121,7 @@ def serve_lines(
                 # retry here re-flushes them — otherwise their futures
                 # would never complete and result() below would hang.
                 scheduler.flush()
-                text = window[0].result().to_json()
+                text = protocol.encode(window[0].result())
             except (GracefulShutdown, KeyboardInterrupt):
                 shutting_down = True
                 continue  # retry the same ticket; nothing was emitted
@@ -285,38 +133,30 @@ def serve_lines(
             shutting_down = False  # drained: deliver the signal once
             raise GracefulShutdown()
 
-    def emit_immediate(text: str) -> None:
+    def emit_immediate(reply: dict | SearchResponse) -> None:
         emit_window()  # keep responses in arrival order
-        out_stream.write(text + "\n")
+        out_stream.write(protocol.encode(reply) + "\n")
         out_stream.flush()
 
     try:
         for line in in_stream:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            kind, value = protocol.decode(line)
+            if kind is protocol.BLANK:
                 continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                failure = SearchResponse.failure(
-                    "parse", f"bad request JSON: {exc}"
-                )
-                emit_immediate(failure.to_json())
+            if kind is protocol.MALFORMED:
+                emit_immediate(value)
                 continue
-            if isinstance(obj, dict) and isinstance(obj.get("op"), str):
+            if kind is protocol.OP:
                 # Drain pending responses BEFORE evaluating the op:
                 # earlier requests must observe the pre-mutation state
                 # (and their cache entries must be keyed by the version
                 # they ran at).
                 emit_window()
-                emit_immediate(_control_line(scheduler, obj))
+                emit_immediate(protocol.control(scheduler, value))
                 continue
-            try:
-                request = SearchRequest.from_obj(obj)
-            except ReproError as exc:
-                emit_immediate(
-                    SearchResponse.failure("parse", str(exc)).to_json()
-                )
+            request = protocol.search_request(value)
+            if isinstance(request, SearchResponse):
+                emit_immediate(request)
                 continue
             try:
                 ticket = scheduler.submit(request)
@@ -325,9 +165,7 @@ def serve_lines(
                 # below what the token index serves exactly). That is a
                 # per-request error line, not a dead serve loop.
                 emit_immediate(
-                    SearchResponse.failure(
-                        request.request_id, str(exc)
-                    ).to_json()
+                    SearchResponse.failure(request.request_id, str(exc))
                 )
                 continue
             window.append(ticket)

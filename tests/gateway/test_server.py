@@ -198,22 +198,61 @@ class TestWireProtocol:
             await client.roundtrip({"op": "hello", "tenant": "alpha"})
             await client.send_raw(b"{broken\n")
             bad_json = await client.recv()
+            await client.send_raw(
+                b'{"query": ["a\xff"]}\n' + b"[" * 30_000 + b"\n"
+            )
+            undecodable = [await client.recv(), await client.recv()]
             bad_op = await client.roundtrip({"op": "explode"})
             bad_request = await client.roundtrip({"k": 3})
             alive = await client.roundtrip(
                 {"id": "still-here", "query": ["boston"], "k": 1}
             )
             await client.close()
-            return bad_json, bad_op, bad_request, alive
+            return bad_json, undecodable, bad_op, bad_request, alive
 
-        bad_json, bad_op, bad_request, alive = run_gateway_scenario(
-            gateway_dir, scenario
+        bad_json, undecodable, bad_op, bad_request, alive = (
+            run_gateway_scenario(gateway_dir, scenario)
         )
         assert "bad request JSON" in bad_json["error"]
+        for reply in undecodable:  # invalid UTF-8, 30k-deep nesting
+            assert reply["id"] == "parse"
+            assert reply["error"].startswith("bad request JSON: ")
         assert bad_op == {"error": "unknown op: explode", "op": "explode"}
         assert "error" in bad_request
         assert alive["id"] == "still-here"
         assert alive["results"]
+
+    def test_over_long_line_is_answered_in_order_then_closes(
+        self, gateway_dir
+    ):
+        """The one error that ends a connection: the tail of an over-long
+        line cannot be told from the next request."""
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        async def scenario(server):
+            client = await Client.connect(server.port)
+            await client.send({"id": "before", "tenant": "alpha",
+                               "query": ["boston"], "k": 1})
+            await client.send_raw(
+                b'["a"' + b" " * MAX_LINE_BYTES + b"]\n"
+                b'{"id": "after", "tenant": "alpha", "query": ["boston"]}\n'
+            )
+            replies = []
+            try:
+                while line := await asyncio.wait_for(
+                    client.reader.readline(), timeout=10
+                ):
+                    replies.append(json.loads(line))
+            except ConnectionResetError:
+                pass  # closed with our unread tail still in flight
+            await client.close()
+            return replies
+
+        before, too_long = run_gateway_scenario(gateway_dir, scenario)
+        assert before["id"] == "before" and before["results"]
+        assert too_long == {
+            "id": "parse", "error": f"line exceeds {MAX_LINE_BYTES} bytes",
+        }
 
     def test_quota_exhaustion_rejects_with_retry_after(self, gateway_dir):
         config = json.loads((gateway_dir / "tenants.json").read_text())
@@ -437,6 +476,32 @@ class TestHttpAdapter:
         assert json.loads(stats[2])["backend"] == "gateway"
         assert missing[0] == 404
         assert put[0] == 405
+
+    def test_content_length_is_validated_before_the_body_is_read(
+        self, gateway_dir
+    ):
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        async def scenario(server):
+            return [
+                await self.http_exchange(
+                    server.port,
+                    b"POST /tenant/alpha HTTP/1.1\r\n"
+                    b"Content-Length: %s\r\n\r\n" % value,
+                )
+                for value in (b"-5", b"five", b"%d" % (MAX_LINE_BYTES + 1))
+            ]
+
+        negative, non_integer, oversize = run_gateway_scenario(
+            gateway_dir, scenario
+        )
+        for status, _, body in (negative, non_integer):
+            assert status == 400
+            assert json.loads(body) == {"error": "bad Content-Length"}
+        assert oversize[0] == 413
+        assert json.loads(oversize[2]) == {
+            "error": f"body exceeds {MAX_LINE_BYTES} bytes"
+        }
 
     def test_bearer_token_and_tenant_header(self, gateway_dir):
         async def scenario(server):

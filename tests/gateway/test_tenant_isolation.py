@@ -20,8 +20,8 @@ import pytest
 
 from repro.gateway import GatewayServer, TenantRegistry
 from repro.service.bootstrap import build_serving_stack
+from repro.service.protocol import control
 from repro.service.request import SearchRequest
-from repro.service.server import control_line
 
 TOKENS = [
     "seattle", "portland", "oakland", "boston", "newyork", "chicago",
@@ -161,9 +161,7 @@ def test_two_tenants_bitwise_match_two_dedicated_servers(isolation_dir):
         try:
             for sent, got in zip(workload, via_gateway[name]):
                 if "op" in sent:
-                    expected = json.loads(
-                        control_line(stack.scheduler, sent)
-                    )
+                    expected = control(stack.scheduler, sent)
                 else:
                     expected = stack.scheduler.answer(
                         SearchRequest.from_obj(sent)
