@@ -14,10 +14,11 @@ that is what keeps the design exact and simple:
   mutation records over the same base state yields the same ids and the
   same monotone version in every process (the version barrier checks
   this on every request);
-* partition ownership is recomputed from the deterministic
-  ``collection.partition`` split after every mutation, so a newly
-  inserted set is owned by exactly one worker — the same worker a
-  single-process ``shards=N`` pool would have assigned it to;
+* partition ownership is a deterministic function of the set id
+  (``collection.slot_assignment``), so a newly inserted set is owned
+  by exactly one worker — the same worker a single-process
+  ``shards=N`` pool would have assigned it to — and a delete moves no
+  other set between workers;
 * the worker's engines are the same engines single-process serving
   uses; no cluster-only search code path exists that could drift from
   the exactness contract.

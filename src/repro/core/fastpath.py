@@ -77,7 +77,12 @@ from repro.errors import (
     InvalidParameterError,
     SearchTimeout,
 )
-from repro.index.interning import CSRPostings, TokenTable, csr_from_index
+from repro.index.interning import (
+    CSRPostings,
+    TokenTable,
+    csr_advance,
+    csr_from_index,
+)
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import annotate
 
@@ -98,9 +103,11 @@ class ColumnarPartition:
 
     __slots__ = ("csr", "sizes", "n_ids")
 
-    def __init__(self, csr: CSRPostings) -> None:
+    def __init__(
+        self, csr: CSRPostings, sizes: np.ndarray | None = None
+    ) -> None:
         self.csr = csr
-        self.sizes = csr.set_sizes()
+        self.sizes = csr.set_sizes() if sizes is None else sizes
         self.n_ids = int(self.sizes.shape[0])
 
     @classmethod
@@ -109,6 +116,34 @@ class ColumnarPartition:
         if columnar is not None:
             return cls(columnar(table))
         return cls(csr_from_index(inverted, table))
+
+    def advanced(
+        self, old_table: TokenTable, table: TokenTable, dead, born
+    ) -> "ColumnarPartition":
+        """This partition after its index lost the ``dead`` sets and
+        gained the ``born`` ones (``(set id, members)`` sequences, as
+        :func:`~repro.index.interning.csr_advance` takes them): the
+        context a from-scratch :meth:`build` over the later state and
+        ``table`` would produce, array for array, at a cost set by the
+        delta instead of by the partition."""
+        csr = csr_advance(self.csr, old_table, table, dead, born)
+        if csr is self.csr:
+            return self
+        sizes = self.sizes
+        if dead or born:
+            top = max(self.n_ids, born[-1][0] + 1 if born else 0)
+            sizes = np.zeros(top, dtype=np.int64)
+            sizes[:self.n_ids] = self.sizes
+            for set_id, _ in dead:
+                sizes[set_id] = 0
+            for set_id, members in born:
+                sizes[set_id] = len(members)
+            if top and not sizes[-1]:
+                # ``sizes`` ends at the largest live id, as ``bincount``
+                # has it.
+                live = np.flatnonzero(sizes)
+                sizes = sizes[:int(live[-1]) + 1 if live.size else 0]
+        return ColumnarPartition(csr, sizes)
 
     def nbytes(self) -> int:
         return self.csr.nbytes() + int(self.sizes.nbytes)

@@ -49,7 +49,7 @@ ablation, ``em_workers`` width, and deadline path. The differential
 harness (``tests/core/test_verify_equivalence.py``) pins exactly that.
 
 Candidates whose members fall outside the token table (a defensive
-case: the table is rebuilt per collection version) fall back to the
+case: the table follows the collection's vocabulary) fall back to the
 reference matrix construction for that candidate alone.
 """
 

@@ -147,8 +147,8 @@ class KoiosSearchEngine:
         Called with each partition's set ids to produce its inverted
         index instead of re-indexing the collection. The store layer
         passes delta-maintained indexes (snapshot postings, mutable
-        overlays) through here, making engine construction O(shards)
-        rather than O(total postings).
+        overlays) through here, so engine construction adopts arrays
+        instead of re-indexing the collection.
     """
 
     def __init__(
@@ -184,19 +184,29 @@ class KoiosSearchEngine:
         partitions = collection.partition(
             num_partitions, seed=partition_seed, within=within
         )
-        self._partitions = [ids for ids in partitions if ids]
+        partitions = [ids for ids in partitions if ids]
         if inverted_factory is not None:
-            self._inverted = [
-                inverted_factory(ids) for ids in self._partitions
-            ]
+            self._inverted = [inverted_factory(ids) for ids in partitions]
         else:
             self._inverted = [
-                InvertedIndex(collection, ids) for ids in self._partitions
+                InvertedIndex(collection, ids) for ids in partitions
             ]
-        # Columnar context (token table + per-partition CSR views) is
-        # built lazily on first search so hot swaps stay O(shards).
-        self._columnar_ctx: tuple | None = None
+        self._num_sets = sum(len(ids) for ids in partitions)
         self._index_bytes = sum(index.nbytes() for index in self._inverted)
+        # Columnar context: the token table plus one CSR view per
+        # partition. Built here, at the state the indexes were built
+        # at, so that :meth:`advance` carries it forward from a known
+        # point (a hot swap advances engines, it does not build them).
+        self._columnar_ctx: tuple | None = None
+        if self._config.engine == ENGINE_COLUMNAR:
+            table = token_table_for(collection)
+            self._columnar_ctx = (
+                table,
+                [
+                    ColumnarPartition.build(index, table)
+                    for index in self._inverted
+                ],
+            )
 
     @property
     def collection(self) -> SetCollection:
@@ -212,7 +222,42 @@ class KoiosSearchEngine:
 
     @property
     def num_partitions(self) -> int:
-        return len(self._partitions)
+        return len(self._inverted)
+
+    @property
+    def num_sets(self) -> int:
+        """Sets this engine searches (as of its last :meth:`advance`)."""
+        return self._num_sets
+
+    def advance(self, new_ids: Sequence[int]) -> bool:
+        """Carry the engine across mutations of its collection.
+
+        ``new_ids`` are the id slots allocated since the engine was
+        built (or last advanced) that it now owns. Its delta index takes
+        them over and reports what it lost and gained; the columnar
+        partition is advanced by exactly that delta — O(|delta|) work
+        and one copy of the partition's posting array, not a rebuild —
+        and lands array-equal to a freshly built engine's. Returns
+        False, leaving the engine untouched, when it cannot advance (its
+        index is not a single advancing delta view); the caller
+        rebuilds it instead. Not safe concurrently with searches: the
+        engine pool calls this under its write lock.
+        """
+        if len(self._inverted) != 1 or not hasattr(
+            self._inverted[0], "advance"
+        ):
+            return False
+        index = self._inverted[0]
+        dead, born = index.advance(new_ids)
+        self._num_sets += len(born) - len(dead)
+        self._index_bytes = index.nbytes()
+        if self._columnar_ctx is not None:
+            old_table, (partition,) = self._columnar_ctx
+            table = token_table_for(self._collection)
+            self._columnar_ctx = (
+                table, [partition.advanced(old_table, table, dead, born)]
+            )
+        return True
 
     def drain(
         self, query: Iterable[str], *, alpha: float | None = None
@@ -241,17 +286,6 @@ class KoiosSearchEngine:
         if self._config.engine != ENGINE_COLUMNAR:
             return None
         return token_table_for(self._collection)
-
-    def _columnar_context(self):
-        """Lazily interned CSR views of every partition's index."""
-        if self._columnar_ctx is None:
-            table = token_table_for(self._collection)
-            partitions = [
-                ColumnarPartition.build(index, table)
-                for index in self._inverted
-            ]
-            self._columnar_ctx = (table, partitions)
-        return self._columnar_ctx
 
     def _check_alpha(self, alpha: float | None) -> float:
         if alpha is None:
@@ -346,10 +380,9 @@ class KoiosSearchEngine:
             with traced_phase(stats.timer, REFINEMENT):
                 sim_cache = sim_cache_from_stream(stream)
                 cache_by_token = index_cache_by_token(sim_cache)
-                columnar_ctx = self._columnar_context()
         else:
             sim_cache = {}
-            columnar_ctx = None
+        columnar_ctx = self._columnar_ctx
         verified: list[VerifiedEntry] = []
         timed_out = False
         partition_stats = [SearchStats() for _ in self._inverted]

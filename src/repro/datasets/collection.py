@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 from repro.utils.rng import make_rng
 
@@ -137,6 +139,41 @@ class SetCollection:
 
     # -- partitioning ------------------------------------------------------
 
+    @property
+    def num_slots(self) -> int:
+        """Id slots ever allocated; ids are ``0 .. num_slots - 1``."""
+        return len(self._sets)
+
+    @property
+    def alive_mask(self) -> np.ndarray:
+        """``bool[num_slots]``: which id slots hold a set (every one of
+        them, for an immutable collection)."""
+        return np.ones(len(self._sets), dtype=bool)
+
+    def slot_assignment(
+        self,
+        num_partitions: int,
+        *,
+        seed: int | None = 0,
+        nested: bool = False,
+    ) -> np.ndarray:
+        """``int64[num_slots]``: the partition every id slot belongs to.
+
+        The assignment is drawn once per *slot id* — uniformly, so
+        partitions have the same expected size, exactly as the paper's
+        scale-out scheme — and ``Generator.integers`` is prefix-stable:
+        growing the collection never changes the draw of an existing
+        id, and deleting a set moves nobody else. ``nested`` selects a
+        second, independent stream for splitting a subset that was
+        itself carved out with ``seed`` (re-using the first stream
+        there would put the whole subset into one partition).
+        """
+        if nested and isinstance(seed, (int, np.integer)):
+            seed = (seed, 1)
+        return make_rng(seed).integers(
+            0, num_partitions, size=self.num_slots
+        )
+
     def partition(
         self,
         num_partitions: int,
@@ -146,10 +183,10 @@ class SetCollection:
     ) -> list[list[int]]:
         """Randomly split set ids into ``num_partitions`` groups (§VI).
 
-        Sets are assigned uniformly at random, so partitions have the same
-        expected size, exactly as the paper's scale-out scheme. Returns a
-        list of id lists; empty partitions are possible for tiny inputs
-        and are skipped by the searcher.
+        Ownership is id-stable (see :meth:`slot_assignment`). Returns a
+        list of id lists (ascending, or in ``within`` order); empty
+        partitions are possible for tiny inputs and are skipped by the
+        searcher.
 
         ``within`` restricts the split to an explicit id subset — the
         sharded engine pool partitions the repository once and hands each
@@ -158,26 +195,27 @@ class SetCollection:
         if num_partitions < 1:
             raise InvalidParameterError("num_partitions must be >= 1")
         if within is None:
-            universe = list(self.ids())
+            universe = np.flatnonzero(self.alive_mask)
         else:
-            universe = [int(i) for i in within]
-            for set_id in universe:
-                if not (0 <= set_id < len(self._sets)):
-                    raise InvalidParameterError(
-                        f"set id out of range: {set_id}"
-                    )
-            if len(set(universe)) != len(universe):
+            universe = np.asarray(within, dtype=np.int64)
+            outside = (universe < 0) | (universe >= self.num_slots)
+            if outside.any():
+                raise InvalidParameterError(
+                    f"set id out of range: {int(universe[outside][0])}"
+                )
+            if np.unique(universe).size != universe.size:
                 raise InvalidParameterError(
                     "within may not contain duplicate set ids"
                 )
         if num_partitions == 1:
-            return [universe]
-        rng = make_rng(seed)
-        assignment = rng.integers(0, num_partitions, size=len(universe))
-        partitions: list[list[int]] = [[] for _ in range(num_partitions)]
-        for set_id, part in zip(universe, assignment):
-            partitions[int(part)].append(set_id)
-        return partitions
+            return [universe.tolist()]
+        assignment = self.slot_assignment(
+            num_partitions, seed=seed, nested=within is not None
+        )[universe]
+        return [
+            universe[assignment == part].tolist()
+            for part in range(num_partitions)
+        ]
 
     def subset(self, set_ids: Sequence[int]) -> "SetCollection":
         """A new collection containing only ``set_ids`` (names preserved)."""

@@ -25,6 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Hashable, Iterable, Iterator
 
+import numpy as np
+
 from repro.core.config import FilterConfig
 from repro.core.koios import KoiosSearchEngine, ResultEntry, SearchResult
 from repro.core.stats import SearchStats
@@ -32,8 +34,9 @@ from repro.core.topk import GlobalThreshold, TopKList
 from repro.datasets.collection import SetCollection
 from repro.errors import EmptyQueryError, InvalidParameterError
 from repro.index.base import TokenIndex
+from repro.index.interning import token_table_for
 from repro.index.token_stream import MaterializedTokenStream
-from repro.obs import current_context, get_tracer
+from repro.obs import Stopwatch, current_context, get_tracer
 from repro.service.backend import (
     materialize_stream,
     require_mutable,
@@ -112,20 +115,22 @@ class EnginePool:
         engine (see :class:`~repro.core.koios.KoiosSearchEngine`). When
         omitted and the collection is a
         :class:`~repro.store.mutable.MutableSetCollection`, its delta
-        factory is adopted automatically, so shard rebuilds after a
-        mutation reuse the incrementally maintained postings instead of
-        re-indexing.
+        factory is adopted automatically: shard engines are then
+        *advanced* across mutations (see :meth:`refresh`) instead of
+        being rebuilt.
     partition:
         ``(index, count)`` — serve only partition ``index`` of the
         repository split into ``count`` partitions under ``shard_seed``
         (the same deterministic split a ``count``-shard pool uses, so a
         fleet of ``count`` pools with distinct indexes covers exactly
         the layout one ``shards=count`` pool does). This is how each
-        :mod:`repro.cluster` worker process owns its slice; the
-        partition is recomputed on every hot swap, so ownership of
-        newly inserted ids stays consistent across the fleet. A
-        partition that happens to receive no live sets yields a pool
-        that answers every search with an empty result.
+        :mod:`repro.cluster` worker process owns its slice; ownership
+        is a function of the set id alone
+        (:meth:`~repro.datasets.collection.SetCollection.slot_assignment`),
+        so every pool of the fleet agrees on who owns a newly inserted
+        id and a delete moves no other set. A partition that happens to
+        receive no live sets yields a pool that answers every search
+        with an empty result.
     """
 
     def __init__(
@@ -162,6 +167,8 @@ class EnginePool:
         self._config = config
         self._em_workers = em_workers
         self._reloads = 0
+        self._hot_swaps = 0
+        self._last_hot_swap_ms = 0.0
         self._inverted_factory = inverted_factory
         self._partition = partition
         self._lock = ReadWriteLock()
@@ -178,36 +185,79 @@ class EnginePool:
         if len(collection) == 0:
             raise InvalidParameterError("cannot serve an empty collection")
         self._collection = collection
+        #: One engine per shard, None for a shard that holds no live set.
+        self._shard_engines: list[KoiosSearchEngine | None] = (
+            [None] * self._shards
+        )
+        self._served_slots = 0
+        self._adopt_slots()
+
+    def _shard_of_slots(self) -> np.ndarray:
+        """``int64[num_slots]``: the shard owning every id slot, -1 for
+        slots of other pools' partitions — the split
+        ``partition(count)[index]`` then ``partition(shards, within=...)``
+        makes, as a function of the id."""
+        collection = self._collection
+        shard = collection.slot_assignment(
+            self._shards,
+            seed=self._shard_seed,
+            nested=self._partition is not None,
+        )
+        if self._partition is not None:
+            part_index, part_count = self._partition
+            owner = collection.slot_assignment(
+                part_count, seed=self._shard_seed
+            )
+            shard[owner != part_index] = -1
+        return shard
+
+    def _adopt_slots(self) -> bool:
+        """Bring the shard engines up to the collection's live state:
+        hand every id slot allocated since the last call to the engine
+        of its shard, which advances by what changed. A shard that
+        gains its first live set gets an engine built, one that loses
+        its last is dropped. Returns False when an engine cannot
+        advance (custom index factory); the caller rebuilds."""
+        collection = self._collection
+        first = self._served_slots
+        fresh = np.arange(first, collection.num_slots)
+        shard = self._shard_of_slots()[first:]
+        alive = collection.alive_mask
+        for position, engine in enumerate(self._shard_engines):
+            ids = fresh[shard == position]
+            if engine is None:
+                ids = ids[alive[ids]]
+                if ids.size:
+                    engine = self._make_engine(ids.tolist())
+            elif not engine.advance(ids):
+                return False
+            elif not engine.num_sets:
+                engine = None
+            self._shard_engines[position] = engine
+        self._engines = [
+            engine for engine in self._shard_engines if engine is not None
+        ]
+        self._served_slots = collection.num_slots
+        self._served_live = len(collection)
+        self._served_table = token_table_for(collection)
+        self._built_collection_version = getattr(collection, "version", None)
+        return True
+
+    def _make_engine(self, set_ids: list[int]) -> KoiosSearchEngine:
+        collection = self._collection
         factory = self._inverted_factory
         if factory is None and hasattr(collection, "delta_index"):
             factory = collection.delta_index
-        universe = None
-        if self._partition is not None:
-            part_index, part_count = self._partition
-            universe = collection.partition(
-                part_count, seed=self._shard_seed
-            )[part_index]
-        shard_ids = [
-            ids
-            for ids in collection.partition(
-                self._shards, seed=self._shard_seed, within=universe
-            )
-            if ids
-        ]
-        self._engines = [
-            KoiosSearchEngine(
-                collection,
-                self._token_index,
-                self._sim,
-                alpha=self._alpha,
-                config=self._config,
-                em_workers=self._em_workers,
-                set_ids=ids,
-                inverted_factory=factory,
-            )
-            for ids in shard_ids
-        ]
-        self._built_collection_version = getattr(collection, "version", None)
+        return KoiosSearchEngine(
+            collection,
+            self._token_index,
+            self._sim,
+            alpha=self._alpha,
+            config=self._config,
+            em_workers=self._em_workers,
+            set_ids=set_ids,
+            inverted_factory=factory,
+        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -267,12 +317,33 @@ class EnginePool:
     def refresh(self) -> Hashable:
         """Hot-swap the shard engines onto the collection's current
         state. Called lazily by :meth:`drain`/:meth:`search` whenever the
-        live version moved; with a delta factory this is O(shards), not a
-        re-index. Returns the serving version."""
+        live version moved. With the overlay's delta factory the engines
+        are advanced by what the mutations changed — any number of them
+        since the last swap cost one advance — under the write lock, so
+        no reader ever finds a context to build. Returns the serving
+        version."""
         with self._lock.write():
             if self._stale():
-                self._build(self._collection)
+                self._hot_swap()
         return self.version
+
+    def _hot_swap(self) -> None:
+        collection = self._collection
+        inserted = collection.num_slots - self._served_slots
+        tags = {
+            "from_version": self._built_collection_version,
+            "to_version": collection.version,
+            "inserted": inserted,
+            "tombstoned": self._served_live + inserted - len(collection),
+        }
+        table = self._served_table
+        watch = Stopwatch()
+        with get_tracer().span("pool.hot_swap", tags=tags) as span:
+            if not self._adopt_slots():
+                self._build(collection)
+            span.annotate(table_reused=self._served_table is table)
+        self._hot_swaps += 1
+        self._last_hot_swap_ms = watch.stop() * 1000.0
 
     def _stale(self) -> bool:
         live = getattr(self._collection, "version", None)
@@ -289,6 +360,8 @@ class EnginePool:
             "backend": "engine-pool",
             "shards": self.num_shards,
             "reloads": self._reloads,
+            "hot_swaps": self._hot_swaps,
+            "last_hot_swap_ms": round(self._last_hot_swap_ms, 3),
             "num_sets": len(self._collection),
             "version": list(version) if isinstance(version, tuple)
             else version,

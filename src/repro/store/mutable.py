@@ -17,8 +17,15 @@ rebuilding the derived structures:
 * **the vocabulary is reference-counted** — a token leaves the
   vocabulary the moment its last containing set dies, which is what
   keeps the token stream's vocabulary filter exact under deletes;
+  ``vocabulary_generation`` moves only when a refcount crosses 0↔1, so
+  everything interned against the vocabulary survives mutations that
+  leave it alone;
 * **``version`` increases monotonically** with every mutation — the
-  engine pool hot-swaps on it and the result cache keys on it.
+  engine pool hot-swaps on it and the result cache keys on it;
+* **the delta is readable as arrays** — ``alive_mask`` flags live slots
+  and an append-only tombstone log keeps each dead set's tokens, so a
+  shard's columnar posting view is *advanced* across a mutation
+  (:meth:`DeltaInvertedIndex.advance`) instead of being rebuilt.
 
 Overlays adopted from a memmap-backed snapshot
 (:meth:`MutableSetCollection.from_snapshot`) are *copy-on-write*: the
@@ -43,7 +50,13 @@ import numpy as np
 
 from repro.datasets.collection import CollectionStats, SetCollection
 from repro.errors import InvalidParameterError
-from repro.index.interning import CSRPostings, csr_from_index, csr_restrict
+from repro.index.interning import (
+    CSRPostings,
+    TokenTable,
+    csr_advance,
+    csr_from_index,
+    csr_restrict,
+)
 from repro.index.inverted import PostingStats
 
 #: Rough bytes per posting entry (pointer + small-int object share),
@@ -120,22 +133,27 @@ class MutableSetCollection(SetCollection):
         self._name_to_id: dict[str, int] | None = {}
         #: Heap posting lists: deltas + copy-on-write materializations.
         self._postings: dict[str, list[int]] = {}
+        #: Live reference counts; the keys are the vocabulary.
         self._token_refs: dict[str, int] = {}
-        self._vocabulary: set[str] = set()
+        self._vocabulary_generation = 0
+        self._vocabulary_cache: tuple[int, frozenset[str]] | None = None
+        #: Liveness per id slot (over-allocated; see :attr:`alive_mask`).
+        self._alive = np.zeros(0, dtype=bool)
+        #: Append-only ``(set id, members)`` of every deleted set; views
+        #: remember how far they have read. Like dead posting entries it
+        #: lives until the process restarts from a compacted snapshot.
+        self._tombstones: list[tuple[int, frozenset[str]]] = []
         self._num_live = 0
         self._posting_entries = 0
         self._dead_posting_entries = 0
         self._version = 0
         self._mutation_lock = threading.Lock()
-        # CSR backing of a snapshot-adopted overlay (None when eager).
+        # CSR backing of a snapshot-adopted overlay (None when eager):
+        # the snapshot's token section as a table and its posting
+        # arrays (``sets`` in on-disk ``u4``), aligned to each other.
         self._base: SetCollection | None = None
-        self._csr_tokens: list[str] | None = None
-        self._csr_offsets: np.ndarray | None = None
-        self._csr_members: np.ndarray | None = None
-        self._csr_token_id: dict[str, int] | None = None
-        self._csr_bytes = 0
-        self._csr64: tuple[object, CSRPostings] | None = None
-        self._csr_table_match: tuple[object, bool] | None = None
+        self._base_table: TokenTable | None = None
+        self._base_csr: CSRPostings | None = None
         if base is not None:
             self._adopt(base, postings)
 
@@ -147,6 +165,7 @@ class MutableSetCollection(SetCollection):
         self._sets = [base[set_id] for set_id in base.ids()]
         self._names = [base.name_of(set_id) for set_id in base.ids()]
         self._num_live = len(self._sets)
+        self._alive = np.ones(len(self._sets), dtype=bool)
         assert self._name_to_id is not None
         for set_id, name in enumerate(self._names):
             if name in self._name_to_id:
@@ -166,7 +185,6 @@ class MutableSetCollection(SetCollection):
         for token, ids in self._postings.items():
             self._token_refs[token] = len(ids)
             self._posting_entries += len(ids)
-        self._vocabulary = set(self._token_refs)
 
     @classmethod
     def from_snapshot(cls, loaded) -> "MutableSetCollection":
@@ -185,27 +203,22 @@ class MutableSetCollection(SetCollection):
         overlay._names = _CowNames(loaded.names)
         overlay._name_to_id = None
         overlay._num_live = len(base)
+        overlay._alive = np.ones(len(base), dtype=bool)
         tokens = loaded.tokens
-        lengths = loaded.posting_lengths
-        overlay._csr_tokens = tokens
-        overlay._csr_offsets = loaded.posting_offsets
-        overlay._csr_members = loaded.posting_members
-        overlay._csr_bytes = int(
-            loaded.posting_members.nbytes + loaded.posting_offsets.nbytes
+        overlay._base_table = TokenTable(tokens)
+        overlay._base_csr = CSRPostings(
+            offsets=loaded.posting_offsets, sets=loaded.posting_members
         )
         overlay._token_refs = {
             token: count
-            for token, count in zip(tokens, lengths.tolist())
+            for token, count in zip(tokens, loaded.posting_lengths.tolist())
             if count
         }
-        overlay._vocabulary = set(overlay._token_refs)
         # The snapshot token section IS the sorted vocabulary: pre-seed
-        # the per-version token-table cache (see
+        # the token-table cache (see
         # :func:`~repro.index.interning.token_table_for`) so engine
         # builds skip re-sorting 100k+ strings at bootstrap.
-        from repro.index.interning import TokenTable
-
-        overlay._token_table_cache = (0, TokenTable(tokens))
+        overlay._token_table_cache = (0, overlay._base_table)
         return overlay
 
     # -- container protocol (live view) ------------------------------------
@@ -237,9 +250,7 @@ class MutableSetCollection(SetCollection):
 
     def ids(self) -> list[int]:  # type: ignore[override]
         """Ascending ids of live sets (tombstoned slots skipped)."""
-        return [
-            set_id for set_id, s in enumerate(self._sets) if s is not None
-        ]
+        return np.flatnonzero(self.alive_mask).tolist()
 
     def name_of(self, set_id: int) -> str:
         name = self._names[set_id]
@@ -280,7 +291,7 @@ class MutableSetCollection(SetCollection):
             num_sets=len(sizes),
             max_size=max(sizes) if sizes else 0,
             avg_size=sum(sizes) / len(sizes) if sizes else 0.0,
-            num_unique_elements=len(self._vocabulary),
+            num_unique_elements=len(self._token_refs),
         )
 
     # -- mutation ----------------------------------------------------------
@@ -295,22 +306,50 @@ class MutableSetCollection(SetCollection):
         """Total id slots ever allocated (live + tombstoned)."""
         return len(self._sets)
 
+    @property
+    def alive_mask(self) -> np.ndarray:
+        """``bool[num_slots]``: which id slots hold a live set. A
+        read-only view of the live buffer, not a copy."""
+        mask = self._alive[:len(self._sets)]
+        mask.flags.writeable = False
+        return mask
+
+    @property
+    def vocabulary(self) -> frozenset[str]:
+        """The live vocabulary; the same object until it changes."""
+        cached = self._vocabulary_cache
+        if cached is None or cached[0] != self._vocabulary_generation:
+            cached = (
+                self._vocabulary_generation, frozenset(self._token_refs)
+            )
+            self._vocabulary_cache = cached
+        return cached[1]
+
+    @property
+    def vocabulary_generation(self) -> int:
+        """Moves only when a token enters or leaves the vocabulary (its
+        reference count crosses 0↔1), never on a mutation that re-uses
+        live tokens."""
+        return self._vocabulary_generation
+
     def _names_map(self) -> dict[str, int]:
         """``name -> live set id``, built on first use for lazy overlays
         (duplicate names are rejected here, at first keyed access,
         instead of at adoption)."""
         mapping = self._name_to_id
         if mapping is None:
-            mapping = {}
-            for set_id, name in enumerate(self._names):
-                if name is None or self._sets[set_id] is None:
-                    continue
-                if name in mapping:
-                    raise InvalidParameterError(
-                        f"duplicate set name: {name!r} (mutation is keyed "
-                        "by name, so names must be unique)"
-                    )
-                mapping[name] = set_id
+            names = list(self._names)
+            live = self.ids()
+            mapping = dict(zip(map(names.__getitem__, live), live))
+            if len(mapping) != len(live):
+                seen: set[str] = set()
+                for name in map(names.__getitem__, live):
+                    if name in seen:
+                        raise InvalidParameterError(
+                            f"duplicate set name: {name!r} (mutation is "
+                            "keyed by name, so names must be unique)"
+                        )
+                    seen.add(name)
             self._name_to_id = mapping
         return mapping
 
@@ -339,10 +378,18 @@ class MutableSetCollection(SetCollection):
             self._sets.append(members)
             self._names.append(name)
             names[name] = set_id
+            if set_id >= len(self._alive):
+                grown = np.zeros(max(16, 2 * set_id), dtype=bool)
+                grown[:len(self._alive)] = self._alive
+                self._alive = grown
+            self._alive[set_id] = True
+            refs = self._token_refs
             for token in members:
                 self._posting_for_write(token).append(set_id)
-                self._token_refs[token] = self._token_refs.get(token, 0) + 1
-                self._vocabulary.add(token)
+                count = refs.get(token, 0)
+                refs[token] = count + 1
+                if not count:
+                    self._vocabulary_generation += 1
             self._posting_entries += len(members)
             self._num_live += 1
             self._version += 1
@@ -355,6 +402,8 @@ class MutableSetCollection(SetCollection):
             members = self._set_at(set_id)
             assert members is not None  # _resolve checked liveness
             self._sets[set_id] = None
+            self._alive[set_id] = False
+            self._tombstones.append((set_id, members))
             name = self._names[set_id]
             if name is not None:
                 self._names_map().pop(name, None)
@@ -364,7 +413,7 @@ class MutableSetCollection(SetCollection):
                     self._token_refs[token] = remaining
                 else:
                     del self._token_refs[token]
-                    self._vocabulary.discard(token)
+                    self._vocabulary_generation += 1
             self._dead_posting_entries += len(members)
             self._num_live -= 1
             self._version += 1
@@ -412,20 +461,17 @@ class MutableSetCollection(SetCollection):
     def _base_posting(self, token: str) -> np.ndarray | None:
         """The base CSR slice for ``token`` (zero-copy; ``None`` when
         there is no CSR backing or the token is not in it)."""
-        if self._csr_tokens is None:
+        base = self._base_csr
+        if base is None:
             return None
-        ids = self._csr_token_id
-        if ids is None:
-            ids = {t: i for i, t in enumerate(self._csr_tokens)}
-            self._csr_token_id = ids
-        token_id = ids.get(token, -1)
+        token_id = self._base_table.id_of(token)  # type: ignore[union-attr]
         if token_id < 0:
             return None
-        start = self._csr_offsets[token_id]  # type: ignore[index]
-        end = self._csr_offsets[token_id + 1]  # type: ignore[index]
+        start = base.offsets[token_id]
+        end = base.offsets[token_id + 1]
         if end <= start:
             return None
-        return self._csr_members[start:end]  # type: ignore[index]
+        return base.sets[start:end]
 
     def _posting_for_write(self, token: str) -> list[int]:
         """The heap posting list of ``token``, copying the base CSR
@@ -454,12 +500,13 @@ class MutableSetCollection(SetCollection):
     def posting_tokens(self) -> Iterator[str]:
         """Every token with any posting entries (dead ones included)."""
         yield from self._postings
-        if self._csr_tokens is not None:
+        if self._base_csr is not None:
             overridden = self._postings
-            offsets = self._csr_offsets
-            for token_id, token in enumerate(self._csr_tokens):
+            offsets = self._base_csr.offsets
+            tokens = self._base_table.tokens  # type: ignore[union-attr]
+            for token_id, token in enumerate(tokens):
                 if token not in overridden and (
-                    offsets[token_id + 1] > offsets[token_id]  # type: ignore[index]
+                    offsets[token_id + 1] > offsets[token_id]
                 ):
                     yield token
 
@@ -486,47 +533,6 @@ class MutableSetCollection(SetCollection):
         restricted to ``set_ids`` (one per engine shard)."""
         return DeltaInvertedIndex(self, set_ids)
 
-    def _table_matches(self, table) -> bool:
-        """Whether ``table`` is aligned with the CSR backing's token
-        section (one O(vocab) comparison, cached per table object)."""
-        cached = self._csr_table_match
-        if cached is not None and cached[0] is table:
-            return cached[1]
-        ok = table.tokens == self._csr_tokens
-        self._csr_table_match = (table, ok)
-        return ok
-
-    def csr_raw(self, table) -> CSRPostings | None:
-        """The base CSR arrays verbatim (``sets`` in on-disk ``u4``) —
-        only available while the overlay is an *unmutated* CSR-backed
-        snapshot adoption (version 0), where the base arrays are the
-        live postings verbatim. Shard views mask-restrict this without
-        ever converting the full array. ``None`` otherwise."""
-        if self._csr_tokens is None or self._version != 0:
-            return None
-        if not self._table_matches(table):
-            return None
-        return CSRPostings(
-            offsets=self._csr_offsets, sets=self._csr_members
-        )
-
-    def csr_live(self, table) -> CSRPostings | None:
-        """Like :meth:`csr_raw` but with ``sets`` converted to the
-        engine's int64 dtype; the one conversion is cached so every
-        full-view engine of a pool shares it."""
-        cached = self._csr64
-        if cached is not None and cached[0] is table:
-            return cached[1]
-        raw = self.csr_raw(table)
-        if raw is None:
-            return None
-        csr = CSRPostings(
-            offsets=raw.offsets,
-            sets=np.ascontiguousarray(raw.sets, dtype=np.int64),
-        )
-        self._csr64 = (table, csr)
-        return csr
-
     def vacuum(self) -> int:
         """Rewrite posting lists without tombstoned ids; returns the
         number of dead entries dropped. Run by WAL compaction — routine
@@ -535,20 +541,16 @@ class MutableSetCollection(SetCollection):
         list and drops the array backing (compaction rewrites the world
         anyway)."""
         with self._mutation_lock:
-            if self._csr_tokens is not None:
-                for token in self._csr_tokens:
+            if self._base_csr is not None:
+                for token in self._base_table.tokens:  # type: ignore[union-attr]
                     if token not in self._postings:
                         base = self._base_posting(token)
                         if base is not None:
                             posting = base.tolist()
                             self._postings[token] = posting
                             self._posting_entries += len(posting)
-                self._csr_tokens = None
-                self._csr_offsets = None
-                self._csr_members = None
-                self._csr_token_id = None
-                self._csr_bytes = 0
-                self._csr64 = None
+                self._base_table = None
+                self._base_csr = None
             dropped = 0
             for token in list(self._postings):
                 posting = self._postings[token]
@@ -577,7 +579,7 @@ class MutableSetCollection(SetCollection):
         bytes for the CSR backing plus the rough per-entry object cost
         of heap lists."""
         return (
-            self._csr_bytes
+            (0 if self._base_csr is None else self._base_csr.nbytes())
             + self._posting_entries * _POSTING_ENTRY_BYTES
             + len(self._postings) * _POSTING_ENTRY_BYTES
         )
@@ -587,11 +589,13 @@ class DeltaInvertedIndex:
     """An :class:`~repro.index.inverted.InvertedIndex`-compatible view of
     a :class:`MutableSetCollection`'s delta-maintained postings.
 
-    Reads filter tombstones (and, for shard views, non-members) on the
-    fly, so the view is always current — building one is O(shard size),
-    which is what makes the engine pool's hot swap cheap. Posting order
-    matches a full rebuild exactly: ids are appended in increasing order
-    and filtering preserves it.
+    The view *owns* a subset of the id slots (all of them when built
+    without ``set_ids``); reads answer "owned and alive right now", so
+    deletes show through at once. Slots allocated after the view was
+    built are not owned until :meth:`advance` hands them over — the
+    engine pool does that under its write lock on every hot swap.
+    Posting order matches a full rebuild exactly: ids are appended in
+    increasing order and filtering preserves it.
     """
 
     def __init__(
@@ -600,19 +604,33 @@ class DeltaInvertedIndex:
         set_ids: Sequence[int] | None = None,
     ) -> None:
         self._overlay = overlay
-        self._members = None if set_ids is None else frozenset(set_ids)
+        if set_ids is None:
+            self._owned: np.ndarray | None = None
+            self._num_sets = len(overlay)
+        else:
+            self._owned = np.zeros(overlay.num_slots, dtype=bool)
+            self._owned[np.asarray(set_ids, dtype=np.int64)] = True
+            self._num_sets = len(set_ids)
+        # The overlay state the view's owner has seen: slots allocated
+        # and tombstones logged (see :meth:`advance`).
+        self._slots = overlay.num_slots
+        self._buried = len(overlay._tombstones)
+
+    @property
+    def num_sets(self) -> int:
+        """Live sets the view held at its last :meth:`advance`."""
+        return self._num_sets
 
     def sets_containing(self, token: str) -> list[int]:
         posting = self._overlay.posting_of(token)
         if posting is None or len(posting) == 0:
             return []
-        if not isinstance(posting, list):
-            posting = posting.tolist()
-        sets = self._overlay._sets
-        members = self._members
-        if members is None:
-            return [i for i in posting if sets[i] is not None]
-        return [i for i in posting if i in members and sets[i] is not None]
+        ids = np.asarray(posting, dtype=np.int64)
+        owned = self._owned
+        if owned is not None:
+            ids = ids[ids < len(owned)]
+            ids = ids[owned[ids]]
+        return ids[self._overlay.alive_mask[ids]].tolist()
 
     def __contains__(self, token: str) -> bool:
         return bool(self.sets_containing(token))
@@ -623,27 +641,73 @@ class DeltaInvertedIndex:
             if self.sets_containing(token)
         )
 
-    def columnar(self, table) -> CSRPostings:
-        """The CSR posting view aligned to ``table``.
+    def _delta_since(self, slots: int, buried: int):
+        """``(dead, born)`` — ``(set id, members)`` lists — of this view
+        against the overlay state with ``slots`` id slots and ``buried``
+        tombstones: owned sets deleted since, and owned sets inserted
+        since that are still alive."""
+        overlay = self._overlay
+        owned = self._owned
+        dead = [
+            (set_id, members)
+            for set_id, members in overlay._tombstones[buried:]
+            if set_id < slots and (owned is None or owned[set_id])
+        ]
+        if owned is None:
+            fresh = np.arange(slots, overlay.num_slots)
+        else:
+            fresh = slots + np.flatnonzero(owned[slots:])
+        fresh = fresh[overlay.alive_mask[fresh]]
+        born = [(set_id, overlay[set_id]) for set_id in fresh.tolist()]
+        return dead, born
 
-        While the overlay is an unmutated CSR-backed snapshot adoption,
-        this is pure array work: the shared int64 conversion of the
-        snapshot arrays, mask-filtered to the shard's members
-        (:func:`~repro.index.interning.csr_restrict`) — no Python pass
-        over posting lists. After the first mutation it falls back to
-        the generic per-token build, same as any delta view.
+    def advance(self, new_ids: Sequence[int]):
+        """Take ownership of ``new_ids`` (slots allocated since the last
+        advance; ignored by a full view, which owns every slot) and
+        return ``(dead, born)``: what this view lost and gained since
+        then, as ``(set id, members)`` lists in id order — exactly the
+        delta that carries a columnar view of it forward
+        (:func:`~repro.index.interning.csr_advance`)."""
+        overlay = self._overlay
+        if self._owned is not None:
+            owned = np.zeros(overlay.num_slots, dtype=bool)
+            owned[:len(self._owned)] = self._owned
+            owned[np.asarray(new_ids, dtype=np.int64)] = True
+            self._owned = owned
+        dead, born = self._delta_since(self._slots, self._buried)
+        self._slots = overlay.num_slots
+        self._buried = len(overlay._tombstones)
+        self._num_sets += len(born) - len(dead)
+        return dead, born
+
+    def columnar(self, table) -> CSRPostings:
+        """The CSR posting view aligned to ``table``, built from scratch.
+
+        Over a CSR-backed snapshot adoption this is pure array work: the
+        snapshot arrays mask-filtered to the view's owned ids
+        (:func:`~repro.index.interning.csr_restrict`), then carried from
+        the snapshot's state to the live one by the same
+        :func:`~repro.index.interning.csr_advance` a hot swap uses — no
+        Python pass over posting lists, mutated or not. An overlay with
+        no array backing (eager, or vacuumed) pays the generic per-token
+        build once; its engine advances the result from there on.
         """
-        if self._members is None:
-            base = self._overlay.csr_live(table)
-            if base is None:
-                return csr_from_index(self, table)
-            return base
-        raw = self._overlay.csr_raw(table)
-        if raw is None:
+        overlay = self._overlay
+        base = overlay._base_csr
+        if base is None:
             return csr_from_index(self, table)
-        # Restrict the on-disk u4 arrays directly: only the shard's
-        # surviving entries are ever converted to int64 heap memory.
-        return csr_restrict(raw, self._members, self._overlay.num_slots)
+        base_slots = len(overlay._base)
+        if self._owned is None:
+            csr = CSRPostings(
+                offsets=base.offsets,
+                sets=np.ascontiguousarray(base.sets, dtype=np.int64),
+            )
+        else:
+            # Restrict the on-disk u4 arrays directly: only the view's
+            # surviving entries are ever converted to int64 heap memory.
+            csr = csr_restrict(base, self._owned[:base_slots])
+        dead, born = self._delta_since(base_slots, 0)
+        return csr_advance(csr, overlay._base_table, table, dead, born)
 
     def stats(self) -> PostingStats:
         lengths = [
@@ -666,6 +730,6 @@ class DeltaInvertedIndex:
         the view covers), so an engine's partition views sum to one
         store rather than one per partition."""
         total = self._overlay.posting_bytes()
-        if self._members is None:
+        if self._owned is None:
             return total
-        return total * len(self._members) // max(1, len(self._overlay))
+        return total * self._num_sets // max(1, len(self._overlay))

@@ -195,17 +195,26 @@ class LazyStrings(Sequence[str]):
         return bytes(self._blob[start:end]).decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        # Full scans (eager materialization, name->id map builds) decode
-        # from one transient bytes copy of the blob instead of a million
-        # tiny memmap reads.
+        return iter(self.tolist())
+
+    def tolist(self) -> list[str]:
+        """Every entry, decoded in bulk (eager materialization,
+        name->id map builds): one transient copy and one decode of the
+        blob instead of a million tiny memmap reads. The decoded text
+        is sliced by the byte offsets when byte and code-point lengths
+        agree (pure ASCII); otherwise entries decode one by one."""
         blob = self._blob.tobytes()
         offsets = self._offsets.tolist()
-        for start, end in zip(offsets, offsets[1:]):
-            yield blob[start:end].decode("utf-8")
+        text = blob.decode("utf-8")
+        if len(text) == len(blob):
+            return [text[a:b] for a, b in zip(offsets, offsets[1:])]
+        return [
+            blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])
+        ]
 
 
 def _decode_strings(payload) -> list[str]:
-    return list(LazyStrings(payload))
+    return LazyStrings(payload).tolist()
 
 
 def save_snapshot(
@@ -536,8 +545,10 @@ class LoadedSnapshot:
         def build(set_ids: Sequence[int]) -> InvertedIndex:
             if len(set_ids) == total:
                 return InvertedIndex.from_csr(self.tokens, self.csr)
+            keep = np.zeros(total, dtype=bool)
+            keep[np.asarray(set_ids, dtype=np.int64)] = True
             return InvertedIndex.from_csr(
-                self.tokens, csr_restrict(self.csr, set_ids, total)
+                self.tokens, csr_restrict(self.csr, keep)
             )
 
         return build

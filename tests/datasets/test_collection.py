@@ -82,6 +82,52 @@ class TestPartitioning:
         with pytest.raises(InvalidParameterError):
             SetCollection([{"a"}]).partition(0)
 
+    @pytest.mark.parametrize("parts", [2, 3, 4, 5, 7, 16])
+    def test_split_equals_the_positional_draw(self, parts):
+        """Ownership is drawn per id slot; while no id is missing that
+        is the same split the old positional draw over the live ids
+        made, so an unmutated collection shards exactly as before."""
+        from repro.utils.rng import make_rng
+
+        collection = SetCollection([{f"t{i}"} for i in range(257)])
+        positional = [[] for _ in range(parts)]
+        draw = make_rng(5).integers(0, parts, size=len(collection))
+        for set_id, part in zip(collection.ids(), draw):
+            positional[int(part)].append(set_id)
+        assert collection.partition(parts, seed=5) == positional
+
+    @pytest.mark.parametrize("parts", [2, 3, 4, 5, 7, 16])
+    def test_assignment_is_prefix_stable(self, parts):
+        """Growing the collection never re-draws an existing id."""
+        small = SetCollection([{f"t{i}"} for i in range(100)])
+        large = SetCollection([{f"t{i}"} for i in range(1000)])
+        assert (
+            large.slot_assignment(parts, seed=3)[:100].tolist()
+            == small.slot_assignment(parts, seed=3).tolist()
+        )
+
+    def test_sub_split_of_a_partition_uses_its_own_stream(self):
+        """``partition(N)[i]`` then ``partition(N, within=...)`` with the
+        same seed: re-using the first-level draw would send the whole
+        slice to sub-shard ``i``."""
+        collection = SetCollection([{f"t{i}"} for i in range(400)])
+        for workers in (2, 3, 4):
+            for index, owned in enumerate(collection.partition(workers)):
+                sub = collection.partition(workers, within=owned)
+                assert sorted(i for part in sub for i in part) == owned
+                assert all(len(part) > len(owned) // (4 * workers)
+                           for part in sub), (workers, index)
+
+    def test_within_is_validated(self):
+        collection = SetCollection([{f"t{i}"} for i in range(10)])
+        with pytest.raises(InvalidParameterError, match="out of range: 10"):
+            collection.partition(2, within=[1, 10])
+        with pytest.raises(InvalidParameterError, match="out of range: -1"):
+            collection.partition(2, within=[-1])
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            collection.partition(2, within=[3, 3, 5])
+        assert collection.partition(1, within=[4, 2]) == [[4, 2]]
+
     def test_subset(self):
         collection = SetCollection(
             [{"a"}, {"b"}, {"c"}], names=["x", "y", "z"]

@@ -115,3 +115,69 @@ def test_search_version_is_stable_within_one_call(tiny_opendata, pool):
     assert pool.search(query, K).ids() == after.ids()
     pool.delete("stability_probe")
     assert pool.search(query, K).ids() == before.ids()
+
+
+def test_concurrent_first_readers_share_one_advance(
+    tiny_opendata, pool, monkeypatch
+):
+    """Searches arriving together right after a mutation find the
+    columnar context already advanced: the swap happens once, under the
+    write lock, not once per reader that got there before the first one
+    finished."""
+    from repro.core.fastpath import ColumnarPartition
+    from repro.core.koios import KoiosSearchEngine
+
+    query = frozenset(tiny_opendata.collection[5])
+    probe_tokens = sorted(query)[:3] + ["hot_swap_probe_token"]
+    pool.search(query, K)  # contexts exist before the mutation
+    engines = list(pool._engines)
+
+    calls = {"advance": [], "build": 0}
+    advance, build = KoiosSearchEngine.advance, ColumnarPartition.build
+
+    def counting_advance(self, new_ids):
+        calls["advance"].append(id(self))
+        return advance(self, new_ids)
+
+    def counting_build(inverted, table):
+        calls["build"] += 1
+        return build(inverted, table)
+
+    monkeypatch.setattr(KoiosSearchEngine, "advance", counting_advance)
+    monkeypatch.setattr(
+        ColumnarPartition, "build", staticmethod(counting_build)
+    )
+
+    pool.insert(probe_tokens, name="hot_swap_probe")
+    readers = 4
+    start = threading.Barrier(readers)
+    results, errors = [None] * readers, []
+
+    def reader(slot):
+        try:
+            start.wait(timeout=60)
+            results[slot] = pool.search(query, K)
+        except Exception as exc:  # noqa: BLE001 — surface in the test
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=reader, args=(slot,))
+        for slot in range(readers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not errors, errors
+
+    assert sorted(calls["advance"]) == sorted(id(e) for e in engines)
+    assert calls["build"] == 0
+    assert pool._engines == engines
+    assert pool.stats_snapshot()["hot_swaps"] == 1
+    serial = pool.search(query, K)
+    assert "hot_swap_probe" in [entry.name for entry in serial.entries]
+    for result in results:
+        assert result.ids() == serial.ids()
+        assert result.scores() == serial.scores()
+        assert result.theta_k == serial.theta_k

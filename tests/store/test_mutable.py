@@ -146,6 +146,39 @@ class TestEngineCompatibility:
         parts = overlay.partition(2, seed=3)
         assert sorted(i for part in parts for i in part) == overlay.ids()
 
+    def test_insert_only_split_equals_the_positional_draw(self):
+        from repro.utils.rng import make_rng
+
+        overlay = MutableSetCollection(
+            SetCollection([{f"t{i}"} for i in range(40)])
+        )
+        for i in range(25):
+            overlay.insert({f"n{i}"})
+        positional = [[], [], []]
+        draw = make_rng(3).integers(0, 3, size=len(overlay))
+        for set_id, part in zip(overlay.ids(), draw):
+            positional[int(part)].append(set_id)
+        assert overlay.partition(3, seed=3) == positional
+
+    def test_delete_moves_no_other_id(self):
+        """Ownership is a function of the id: a delete takes its id out
+        of one shard and changes nothing else (the positional draw moved
+        about half of all later ids)."""
+        overlay = MutableSetCollection(
+            SetCollection([{f"t{i}"} for i in range(60)])
+        )
+        before = overlay.partition(3, seed=1)
+        overlay.delete(7)
+        overlay.delete(31)
+        inserted = overlay.insert({"fresh"})
+        after = overlay.partition(3, seed=1)
+        owner = int(overlay.slot_assignment(3, seed=1)[inserted])
+        for part, (old, new) in enumerate(zip(before, after)):
+            expected = [i for i in old if i not in (7, 31)]
+            if part == owner:
+                expected.append(inserted)
+            assert new == expected
+
     def test_subset_of_live_ids(self, overlay):
         overlay.delete("s0")
         sub = overlay.subset([1, 2])

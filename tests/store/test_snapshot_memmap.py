@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import FilterConfig
 from repro.core.koios import KoiosSearchEngine
 from repro.datasets import SetCollection
-from repro.errors import SnapshotError
+from repro.errors import InvalidParameterError, SnapshotError
 from repro.index import InvertedIndex
 from repro.index.interning import TokenTable, csr_from_index
 from repro.store import (
@@ -196,6 +196,29 @@ class TestLaziness:
         posting = overlay.posting_of(token)
         assert posting is None or not isinstance(posting, list)
         assert overlay._postings == {}
+
+    def test_name_map_of_a_lazy_overlay(self, tmp_path):
+        """The first keyed access decodes the name section in bulk —
+        non-ASCII names take the per-entry decode — and maps live names
+        only; duplicates are rejected there, naming the culprit."""
+        sets = [{"a"}, {"b"}, {"a", "c"}]
+        for names in (["x", "y", "z"], ["x", "zoë", "日本"]):
+            path = tmp_path / "names.snap"
+            save_snapshot(path, SetCollection(sets, names=names))
+            loaded = load_snapshot(path)
+            assert loaded.names.tolist() == names == list(loaded.names)
+            overlay = loaded.mutable()
+            assert overlay.id_of(names[2]) == 2
+            overlay.delete(names[1])
+            assert overlay.replace(names[0], {"c"}) == 3
+            assert overlay._names_map() == {names[2]: 2, names[0]: 3}
+        path = tmp_path / "dup.snap"
+        save_snapshot(path, SetCollection(sets, names=["x", "y", "x"]))
+        overlay = load_snapshot(path).mutable()
+        with pytest.raises(
+            InvalidParameterError, match="duplicate set name: 'x'"
+        ):
+            overlay.insert({"d"})
 
     def test_set_views_materialize_per_slot(self, snap_path):
         loaded = load_snapshot(snap_path)
