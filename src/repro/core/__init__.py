@@ -2,7 +2,7 @@
 filter-verification search framework (refinement, post-processing,
 partitioned facade, filter configuration, and search statistics)."""
 
-from repro.core.bounds import PAPER, SAFE, CandidateState
+from repro.core.bounds import PAPER, SAFE, CandidateState, Survivors
 from repro.core.buckets import BucketStore
 from repro.core.config import FilterConfig
 from repro.core.fastpath_verify import (
@@ -40,6 +40,7 @@ __all__ = [
     "ResultEntry",
     "SearchResult",
     "SearchStats",
+    "Survivors",
     "ThetaLB",
     "TopKList",
     "VerifiedEntry",

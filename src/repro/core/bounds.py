@@ -34,7 +34,10 @@ cost. The ablation bench quantifies the difference.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
+
+import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
@@ -254,9 +257,57 @@ class CandidateState:
         return size
 
 
-def candidate_states_nbytes(states: Mapping[int, CandidateState]) -> int:
-    """Estimated footprint of a ``set id -> state`` map: its table plus
-    one flat pass summing each state's own estimate."""
+@dataclass(frozen=True)
+class Survivors:
+    """Refinement's survivors as they cross into post-processing.
+
+    Algorithm 2 needs three numbers of a surviving candidate — its id,
+    its lower bound ``S_i`` and its frozen upper bound — so the phase
+    boundary carries three parallel arrays, not one object per set.
+    """
+
+    ids: np.ndarray      # int64
+    lower: np.ndarray    # float64
+    upper: np.ndarray    # float64
+
+    @classmethod
+    def of(
+        cls, survivors: "Survivors | Mapping[int, CandidateState]"
+    ) -> "Survivors":
+        """``survivors`` itself, or the arrays of a ``set id -> state``
+        map (what the reference refinement hands over)."""
+        if isinstance(survivors, cls):
+            return survivors
+        count = len(survivors)
+        return cls(
+            ids=np.fromiter(survivors, dtype=np.int64, count=count),
+            lower=np.fromiter(
+                (state.lower_bound for state in survivors.values()),
+                dtype=np.float64,
+                count=count,
+            ),
+            upper=np.fromiter(
+                (state.final_upper for state in survivors.values()),
+                dtype=np.float64,
+                count=count,
+            ),
+        )
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
+
+    def nbytes(self) -> int:
+        return int(self.ids.nbytes + self.lower.nbytes + self.upper.nbytes)
+
+
+def candidate_states_nbytes(
+    states: "Survivors | Mapping[int, CandidateState]",
+) -> int:
+    """Estimated footprint of what refinement hands over: the three
+    arrays, or a ``set id -> state`` map's table plus one flat pass
+    summing each state's own estimate."""
+    if isinstance(states, Survivors):
+        return states.nbytes()
     return sys.getsizeof(states) + sum(
         state.nbytes() for state in states.values()
     )

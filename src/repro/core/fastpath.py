@@ -67,7 +67,7 @@ from typing import AbstractSet, Iterable
 
 import numpy as np
 
-from repro.core.bounds import CandidateState
+from repro.core.bounds import Survivors
 from repro.core.config import ENGINE_COLUMNAR, FilterConfig
 from repro.core.refinement import RefinementOutput
 from repro.core.stats import SearchStats
@@ -341,7 +341,9 @@ def refine_columnar(
     n_ids = partition.n_ids
     if n_tuples == 0 or n_ids == 0:
         return RefinementOutput(
-            survivors={}, sim_cache=sim_cache, last_similarity=last_similarity
+            survivors=Survivors.of({}),
+            sim_cache=sim_cache,
+            last_similarity=last_similarity,
         )
 
     offsets = partition.csr.offsets
@@ -577,30 +579,17 @@ def refine_columnar(
     )
 
     # -- freeze survivors ----------------------------------------------
-    survivors: dict[int, CandidateState] = {}
     active = np.flatnonzero(np.frombuffer(survivors_state, dtype=np.uint8) == 1)
-    if active.size:
-        if track_caps:
-            effective = np.sort(caps[:, active], axis=0)[::-1]
-            totals = np.cumsum(effective, axis=0)
-            final_upper = totals[
-                capacity[active] - 1, np.arange(active.shape[0])
-            ]
-        else:
-            m_rem = capacity[active] - mcount[active]
-            final_upper = score[active] + m_rem * last_similarity
-        for set_id, matched, upper, size in zip(
-            active.tolist(),
-            score[active].tolist(),
-            final_upper.tolist(),
-            sizes[active].tolist(),
-        ):
-            candidate = CandidateState(
-                set_id, candidate_size=int(size), query_size=nq
-            )
-            candidate.matched_score = matched
-            candidate.final_upper = upper
-            survivors[set_id] = candidate
+    if track_caps and active.size:
+        effective = np.sort(caps[:, active], axis=0)[::-1]
+        totals = np.cumsum(effective, axis=0)
+        final_upper = totals[
+            capacity[active] - 1, np.arange(active.shape[0])
+        ]
+    else:
+        m_rem = capacity[active] - mcount[active]
+        final_upper = score[active] + m_rem * last_similarity
+    survivors = Survivors(ids=active, lower=score[active], upper=final_upper)
 
     event_bytes = sum(
         int(array.nbytes)

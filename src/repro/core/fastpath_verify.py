@@ -1,4 +1,4 @@
-"""The columnar verification engine — Algorithm 2's matrices as one matmul.
+"""The columnar verification engine — Algorithm 2 pays for what it matches.
 
 The reference post-processing loop (:mod:`repro.core.postprocessing`)
 pays three Python-heavy costs for every Hungarian run: a ``cache_view``
@@ -6,20 +6,19 @@ dict comprehension restricting the streamed similarity cache to the
 candidate, a :func:`~repro.matching.graph.build_graph` call that stacks
 per-token unit vectors and loops over the cached pairs, and the
 :func:`~repro.sim.cosine.CosineSimilarity.matrix` matmul itself — all
-for a weight matrix that is usually thrown away after the Lemma-8
-initial check prunes the candidate. On verification-bound workloads
-(long posting lists, many survivors) that per-candidate interpreter
-overhead dominates the phase.
+for a weight matrix that is almost always thrown away: on the dense
+benchmark corpus more than 99 % of the sets that reach verification are
+retired by the Lemma-8 check on the *initial* labeling (sum of row
+maxima below ``theta_lb``), before any solver work.
 
 The fast path exploits the same structural fact the refinement engine
 does: **every candidate's weight matrix is a column selection of one
-shared matrix**. All candidates score the same query rows against
-subsets of one vocabulary, so the engine:
+shared matrix**, and that matrix is sparse. All candidates score the
+same query rows against subsets of one vocabulary, so the engine:
 
-1. interns every survivor's member tokens through the shared
-   :class:`~repro.index.interning.TokenTable` (whose sorted-token id
-   order makes ``np.sort`` of ids equal the reference's sorted-string
-   column order);
+1. finds the survivors' union vocabulary from a survivor mask over the
+   partition's CSR posting array — no survivor is read from the
+   collection or interned for this;
 2. builds, **once per phase**, the dense query × union-vocabulary
    similarity block with a single batched matmul over the shared
    embedding matrix (:meth:`CosineSimilarity.unit_rows` — the identical
@@ -28,43 +27,46 @@ subsets of one vocabulary, so the engine:
    streamed-cache overrides exactly as ``build_graph`` does — cached
    entries are the same floats in both engines, which is what pins the
    two engines' matrices bitwise (BLAS matmuls are not shape-invariant,
-   so any *uncached* cell near or above ``alpha`` routes its candidates
-   through the reference fallback instead — see :meth:`prepare`);
-3. serves each verification as a pure column gather plus the Kuhn–
-   Munkres solver on dense NumPy label/slack arrays — the untouched
-   :func:`~repro.matching.hungarian.hungarian_matching` — with the
-   Lemma-8 label-sum initial check applied *before* building the padded
-   matrix via :func:`~repro.matching.hungarian.initial_label_sum`
-   (bitwise the same float the solver would compute, so the pruned /
-   not-pruned decision and the reported ``label_sum`` are identical).
+   so any *uncached* cell near or above ``alpha`` routes the survivors
+   on its column's posting list through the reference fallback instead
+   — see :meth:`ColumnarVerifier.prepare`);
+3. computes **every survivor's initial label sum in one batched pass**:
+   the block's non-zero cells are expanded along their columns' posting
+   slices, a scatter-maximum gives each survivor its row maxima, and the
+   rows are summed grouped by padded length so each float is bitwise
+   what :func:`~repro.matching.hungarian.initial_label_sum` — and hence
+   the solver — would compute from the gathered matrix;
+4. answers each verification from that float against the live threshold
+   — a dictionary read and a comparison for a retired survivor — and
+   only for the few sets that pass interns the members (the shared
+   :class:`~repro.index.interning.TokenTable`'s sorted-token id order
+   makes ``np.sort`` of ids equal the reference's sorted-string column
+   order), gathers the columns and runs the untouched
+   :func:`~repro.matching.hungarian.hungarian_matching`.
 
-The pruning *schedule* — ledger updates, ``theta_ub`` reads, No-EM
+The pruning *schedule* — the upper-bound walk, ``theta_ub`` reads, No-EM
 acceptances, batch selection, theta offers — is not reimplemented at
-all: the verifier is injected into the reference
+all: the verifier is injected into the one
 :func:`~repro.core.postprocessing.postprocess` loop and only replaces
-how a weight matrix is produced. Discards, No-EM accepts, early
+how a verification is answered. Discards, No-EM accepts, early
 terminations, final entries, stats counters, and ``theta_lb``
 trajectories are therefore identical by construction, under every
 ablation, ``em_workers`` width, and deadline path. The differential
-harness (``tests/core/test_verify_equivalence.py``) pins exactly that.
-
-Candidates whose members fall outside the token table (a defensive
-case: the table follows the collection's vocabulary) fall back to the
-reference matrix construction for that candidate alone.
+harness (``tests/core/test_verify_equivalence.py``) pins exactly that,
+and ``tests/core/test_verify_batched.py`` pins the batched floats and
+that work follows solver entries, not survivors.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from repro.core.bounds import CandidateState
 from repro.matching.hungarian import (
     _EPS,
     MatchingResult,
     hungarian_matching,
-    initial_label_sum,
 )
 from repro.index.interning import TokenTable
 from repro.obs import annotate
@@ -105,8 +107,48 @@ def supports_columnar_verify(sim) -> bool:
     return hasattr(sim, "unit_rows")
 
 
+#: What :meth:`ColumnarVerifier.match` answers for every survivor the
+#: initial Lemma-8 check retires — pruned, zero labeling updates. One
+#: shared object: the phase reads nothing else of a retired run, and the
+#: certified label sum stays with the verifier (``label_sum`` is NaN
+#: here, not a bound).
+_INITIALLY_PRUNED = MatchingResult(
+    score=0.0, pruned=True, label_sum=float("nan")
+)
+
+#: Cells of one zero-padded block in :func:`_padded_row_sums` (8 MB of
+#: float64): caps the transient when many survivors share a large size.
+_SUM_BLOCK_CELLS = 1 << 20
+
+
+def _padded_row_sums(row_max: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``initial_label_sum`` of every survivor from its row maxima.
+
+    Row ``i`` of ``row_max`` holds one survivor's ``|Q|`` row maxima;
+    the solver sums them over the padded length ``lengths[i] =
+    max(|Q|, |C|)``, and NumPy's pairwise summation associates by that
+    length, so trailing zeros change the float. Survivors are therefore
+    grouped by padded length and each group is reduced along the
+    contiguous axis of a zero-padded block — the reduction a 1-d
+    ``labels.sum()`` of that length performs, row by row.
+    """
+    num_rows = row_max.shape[1]
+    sums = np.empty(row_max.shape[0], dtype=np.float64)
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, cuts):
+        length = int(lengths[group[0]])
+        step = max(1, _SUM_BLOCK_CELLS // length)
+        for lo in range(0, group.size, step):
+            members = group[lo:lo + step]
+            padded = np.zeros((members.size, length), dtype=np.float64)
+            padded[:, :num_rows] = row_max[members]
+            sums[members] = padded.sum(axis=1)
+    return sums
+
+
 class ColumnarVerifier:
-    """Batched weight-matrix construction for one partition's phase.
+    """One partition's verification phase, paid for by what it matches.
 
     Built by the facade per partition search (cheap: real work happens
     in :meth:`prepare`, called by ``postprocess`` once the survivors are
@@ -123,6 +165,7 @@ class ColumnarVerifier:
         table: TokenTable,
         sim,
         alpha: float,
+        partition,
     ) -> None:
         self._query = query
         self._rows = sorted(query)
@@ -130,17 +173,26 @@ class ColumnarVerifier:
         self._table = table
         self._sim = sim
         self._alpha = alpha
+        #: The :class:`~repro.core.fastpath.ColumnarPartition` the
+        #: survivors come from (its CSR is aligned to ``table``).
+        self._partition = partition
         self._cache_by_token: dict[str, list[tuple[str, float]]] = {}
-        # set_id -> column positions into the shared weight block; ids
-        # missing from the table route through the reference fallback.
-        self._positions: dict[int, np.ndarray] = {}
-        self._fallback: set[int] = set()
+        self._union_ids = np.zeros(0, dtype=np.int64)
         self._weights: np.ndarray | None = None
+        # set id -> initial label sum, for every survivor.
+        self._label_sums: dict[int, float] = {}
+        # set id -> column positions into the shared weight block, for
+        # the sets a matching was actually entered for.
+        self._positions: dict[int, np.ndarray] = {}
+        # Sets holding a suspect column: reference fallback.
+        self._fallback: set[int] = set()
         # Cost attribution, filled by prepare(): cells of the batched
-        # weight block and the FLOP estimate of the matmul producing it
-        # (2 * dim multiply-adds per cell).
+        # weight block, the FLOP estimate of the matmul producing it
+        # (2 * dim multiply-adds per cell), and the bytes of the arrays
+        # the batched row-maximum pass built and scanned.
         self.matmul_cells = 0
         self.matmul_flops = 0
+        self._pass_bytes = 0
 
     # -- phase setup -------------------------------------------------------
 
@@ -152,53 +204,61 @@ class ColumnarVerifier:
 
     def prepare(
         self,
-        survivors: Mapping[int, CandidateState],
+        survivor_ids: np.ndarray,
         cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> None:
-        """Intern the survivors and build the shared weight block.
+        """Build the shared weight block and every survivor's initial
+        label sum, in one pass over the partition's posting arrays.
 
-        Reproduces, for the union vocabulary, the exact per-candidate
-        pipeline of ``build_graph``: float32 unit-row matmul, clip,
-        float64 cast, identical-token rule, ``alpha`` threshold, cached
-        overrides (``score if score >= alpha else 0.0``). A candidate's
-        matrix is then ``weights[:, positions]`` — the same floats the
-        reference would compute, column for column.
+        The block reproduces, for the survivors' union vocabulary, the
+        exact per-candidate pipeline of ``build_graph``: float32
+        unit-row matmul, clip, float64 cast, identical-token rule,
+        ``alpha`` threshold, cached overrides (``score if score >=
+        alpha else 0.0``). A candidate's matrix is ``weights[:,
+        positions]`` — the same floats the reference would compute,
+        column for column — and is gathered only if a matching is
+        entered for it (:meth:`weights_of`).
 
-        One numerical hazard makes that claim conditional: BLAS matmul
-        results are not guaranteed shape-invariant, so a cell of the
-        batched block can differ in its last bit from the reference's
-        per-candidate product. Cells the streamed cache overrides are
-        exact either way (both engines write the identical cached
-        float), and cells comfortably below ``alpha`` are zeroed by the
-        threshold in both engines — only *uncached* cells at or near
-        ``alpha`` could carry a divergent float into a matching (the
-        stream contains every pair the index scored >= ``alpha``, so
-        such cells exist only where the index and matrix float paths
+        The block is sparse: its non-zeros are the streamed pairs, the
+        identity cells and the rare uncached cell above ``alpha``. Each
+        non-zero cell ``(q, t)`` reaches exactly the survivors on ``t``'s
+        posting list, so expanding those posting slices and taking a
+        scatter-maximum yields every survivor's row maxima at once, and
+        :func:`_padded_row_sums` turns them into the floats
+        ``initial_label_sum(weights_of(id))`` would return.
+
+        One numerical hazard makes the block's exactness conditional:
+        BLAS matmul results are not guaranteed shape-invariant, so a
+        cell of the batched block can differ in its last bit from the
+        reference's per-candidate product. Cells the streamed cache
+        overrides are exact either way (both engines write the identical
+        cached float), and cells comfortably below ``alpha`` are zeroed
+        by the threshold in both engines — only *uncached* cells at or
+        near ``alpha`` could carry a divergent float into a matching
+        (the stream contains every pair the index scored >= ``alpha``,
+        so such cells exist only where the index and matrix float paths
         drift across the threshold). ``prepare`` therefore flags every
         uncached, non-identity cell above ``alpha - GEMM_DRIFT_BAND``
-        and routes candidates containing a flagged column through the
-        reference fallback — the guarantee degrades to the reference's
-        own (slower) computation instead of to a wrong float. On
-        embedding-backed corpora the flagged set is normally empty.
+        and routes the survivors on a flagged column's posting list
+        through the reference fallback — the guarantee degrades to the
+        reference's own (slower) computation instead of to a wrong
+        float. On embedding-backed corpora the flagged set is normally
+        empty.
         """
         self._cache_by_token = cache_by_token
         table = self._table
-        collection = self._collection
-        id_arrays: list[np.ndarray] = []
-        spans: list[tuple[int, int, int]] = []  # (set_id, lo, hi)
-        total = 0
-        for set_id in survivors:
-            ids = np.sort(table.encode(collection[set_id]))
-            if ids.size and ids[0] < 0:
-                self._fallback.add(set_id)
-                continue
-            id_arrays.append(ids)
-            spans.append((set_id, total, total + ids.size))
-            total += ids.size
-        if not id_arrays:
-            return
-        member_ids = np.concatenate(id_arrays)
-        union_ids = np.unique(member_ids)
+        partition = self._partition
+        offsets, posting_sets = partition.csr.offsets, partition.csr.sets
+        # Survivor row of every set id (-1: not a survivor), and the
+        # union vocabulary: tokens with a survivor on their posting list.
+        row_of_set = np.full(partition.n_ids, -1, dtype=np.int64)
+        row_of_set[survivor_ids] = np.arange(survivor_ids.size)
+        survivor_posting = (row_of_set >= 0)[posting_sets]
+        occupied = np.flatnonzero(offsets[1:] > offsets[:-1])
+        union_ids = occupied[
+            np.logical_or.reduceat(survivor_posting, offsets[occupied])
+        ]
+        self._union_ids = union_ids
         tokens = table.tokens
         union_tokens = [tokens[i] for i in union_ids.tolist()]
 
@@ -236,32 +296,64 @@ class ColumnarVerifier:
                     suspicious[row, column] = False
         self._weights = weights
 
+        # Every survivor's row maxima: each non-zero cell's value lands
+        # on the survivors of its column's posting slice.
+        cell_row, cell_column = np.nonzero(weights)
+        cell_token = union_ids[cell_column]
+        counts = offsets[cell_token + 1] - offsets[cell_token]
+        first = np.cumsum(counts) - counts
+        edge_cell = np.repeat(np.arange(counts.size), counts)
+        edge_position = (
+            np.arange(int(counts.sum()), dtype=np.int64)
+            + (offsets[cell_token] - first)[edge_cell]
+        )
+        edge_set = row_of_set[posting_sets[edge_position]]
+        alive = edge_set >= 0
+        edge_cell = edge_cell[alive]
+        num_rows = len(self._rows)
+        row_max = np.zeros((survivor_ids.size, num_rows), dtype=np.float64)
+        np.maximum.at(
+            row_max.reshape(-1),
+            edge_set[alive] * num_rows + cell_row[edge_cell],
+            weights[cell_row, cell_column][edge_cell],
+        )
+        label_sums = _padded_row_sums(
+            row_max, np.maximum(num_rows, partition.sizes[survivor_ids])
+        )
+        self._label_sums = dict(
+            zip(survivor_ids.tolist(), label_sums.tolist())
+        )
+
         # Columns with an uncached near/above-alpha cell could gather a
         # matmul float that differs from the reference's per-candidate
-        # product in its last bit; candidates touching one take the
+        # product in its last bit; the survivors holding one take the
         # reference fallback instead (see the docstring).
-        suspect_columns = np.flatnonzero(suspicious.any(axis=0))
-        suspect_ids = (
-            set(union_ids[suspect_columns].tolist())
-            if suspect_columns.size else None
-        )
-        all_positions = np.searchsorted(union_ids, member_ids)
-        for (set_id, lo, hi), ids in zip(spans, id_arrays):
-            if suspect_ids is not None and not suspect_ids.isdisjoint(
-                ids.tolist()
-            ):
-                self._fallback.add(set_id)
-                continue
-            self._positions[set_id] = all_positions[lo:hi]
+        suspects = union_ids[np.flatnonzero(suspicious.any(axis=0))]
+        if suspects.size:
+            holders = np.concatenate(
+                [
+                    posting_sets[offsets[t]:offsets[t + 1]]
+                    for t in suspects.tolist()
+                ]
+            )
+            self._fallback = set(holders[row_of_set[holders] >= 0].tolist())
         self.matmul_cells = int(weights.size)
         self.matmul_flops = 2 * int(weights.size) * int(
             union_matrix.shape[1]
+        )
+        self._pass_bytes = int(
+            row_of_set.nbytes
+            + survivor_posting.nbytes
+            + edge_position.nbytes
+            + edge_set.nbytes
+            + row_max.nbytes
+            + label_sums.nbytes
         )
         # Tracing hook (observation only): the one batched matmul this
         # phase runs, and how many candidates bypass it via fallback.
         annotate(
             verify_matmul_cells=int(weights.size),
-            verify_candidates=len(self._positions),
+            verify_candidates=int(survivor_ids.size) - len(self._fallback),
             verify_fallbacks=len(self._fallback),
         )
 
@@ -273,49 +365,57 @@ class ColumnarVerifier:
     # -- per-candidate verification ---------------------------------------
 
     def weights_of(self, set_id: int) -> np.ndarray:
-        """The candidate's dense weight matrix (one column gather)."""
-        return self._weights[:, self._positions[set_id]]
+        """The candidate's dense weight matrix (one column gather).
+
+        Interns the members on first use — the shared table's
+        sorted-token id order makes ``np.sort`` of ids equal the
+        reference's sorted-string column order — so only sets a matching
+        is entered for are ever read from the collection.
+        """
+        positions = self._positions.get(set_id)
+        if positions is None:
+            member_ids = np.sort(
+                self._table.encode(self._collection[set_id])
+            )
+            positions = np.searchsorted(self._union_ids, member_ids)
+            self._positions[set_id] = positions
+        return self._weights[:, positions]
 
     def match(
         self, set_id: int, bound: Callable[[], float | None] | None
     ) -> MatchingResult:
         """One Hungarian run for ``set_id`` against the live threshold.
 
-        Applies the Lemma-8 initial check on the gathered matrix before
-        entering the solver: the initial label sum is the identical
-        float the solver would derive, read against the identical
-        threshold at the identical point, so the early-out returns
-        exactly the :class:`MatchingResult` the reference produces —
-        ``score 0.0``, ``pruned``, the certified ``label_sum``, zero
-        label updates.
+        Applies the Lemma-8 initial check from the precomputed label
+        sum before touching the candidate: it is the identical float
+        the solver would derive, read against the identical threshold at
+        the identical point, so a retired survivor costs one dictionary
+        read and one comparison, and the decision — pruned, zero label
+        updates — is exactly the reference's.
         """
         if set_id in self._fallback:
             return self._match_fallback(set_id, bound)
-        weights = self.weights_of(set_id)
-        if bound is not None and weights.shape[0] and weights.shape[1]:
-            label_sum = initial_label_sum(weights)
-            threshold = bound()
-            if threshold is not None and label_sum < threshold - _EPS:
-                return MatchingResult(
-                    score=0.0,
-                    pruned=True,
-                    label_sum=label_sum,
-                    label_updates=0,
-                )
-            # Replay the threshold just read into the solver's own
-            # entry check instead of letting it re-read the live bound:
-            # the reference path reads exactly once at this point, and a
-            # concurrently rising theta_lb must not observe an extra
-            # read (subsequent per-update reads stay live).
-            return hungarian_matching(
-                weights, bound=_entry_replay(threshold, bound)
-            )
-        return hungarian_matching(weights, bound=bound)
+        if bound is None:
+            return hungarian_matching(self.weights_of(set_id), bound=None)
+        threshold = bound()
+        if (
+            threshold is not None
+            and self._label_sums[set_id] < threshold - _EPS
+        ):
+            return _INITIALLY_PRUNED
+        # Replay the threshold just read into the solver's own entry
+        # check instead of letting it re-read the live bound: the
+        # reference path reads exactly once at this point, and a
+        # concurrently rising theta_lb must not observe an extra read
+        # (subsequent per-update reads stay live).
+        return hungarian_matching(
+            self.weights_of(set_id), bound=_entry_replay(threshold, bound)
+        )
 
     def _match_fallback(
         self, set_id: int, bound: Callable[[], float | None] | None
     ) -> MatchingResult:
-        """Reference matrix construction for out-of-table candidates."""
+        """Reference matrix construction for drift-guarded candidates."""
         from repro.core.postprocessing import cache_view
         from repro.core.semantic_overlap import semantic_overlap_matching
 
@@ -332,8 +432,10 @@ class ColumnarVerifier:
         return result
 
     def nbytes(self) -> int:
-        """Footprint of the shared weight block and position arrays."""
+        """Bytes the phase held and scanned: the shared weight block,
+        the arrays of the batched row-maximum pass, and the column
+        positions of the sets a matching was entered for."""
         total = 0 if self._weights is None else int(self._weights.nbytes)
-        return total + sum(
+        return total + self._pass_bytes + sum(
             int(positions.nbytes) for positions in self._positions.values()
         )

@@ -490,14 +490,21 @@ class KoiosSearchEngine:
             container_bytes(output.sim_cache, _SIM_CACHE_ENTRY_BYTES),
         )
         stats.memory.record("topk_lb_list", llb.nbytes())
-        # The columnar engine covers both phases: verification matrices
-        # come from one batched matmul per partition instead of
-        # per-candidate cache_view/build_graph calls. Similarities
-        # without an embedding matrix keep the reference verify path.
+        # The columnar engine covers both phases: verifications are
+        # answered from one batched matmul and one pass over the
+        # partition's posting arrays instead of per-candidate
+        # cache_view/build_graph calls. Similarities without an
+        # embedding matrix keep the reference verify path.
         verifier = None
         if columnar_ctx is not None and supports_columnar_verify(self._sim):
+            table, partitions = columnar_ctx
             verifier = ColumnarVerifier(
-                query, self._collection, columnar_ctx[0], self._sim, alpha
+                query,
+                self._collection,
+                table,
+                self._sim,
+                alpha,
+                partitions[position],
             )
         with traced_phase(stats.timer, POSTPROCESSING):
             entries = postprocess(

@@ -31,13 +31,14 @@ running on others.
 from __future__ import annotations
 
 import bisect
-import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.core.bounds import CandidateState
+import numpy as np
+
+from repro.core.bounds import CandidateState, Survivors
 from repro.core.config import FilterConfig
 from repro.core.semantic_overlap import semantic_overlap_matching
 from repro.core.stats import SearchStats
@@ -66,28 +67,33 @@ class VerifiedEntry:
 
 
 class _UpperBoundLedger:
-    """Tracks the current upper bound of every alive set.
+    """The alive sets' upper bounds and the order the phase visits them.
 
-    Supports the three operations the phase needs at low cost: the k-th
-    largest bound (``theta_ub``), decreasing a set's bound, and removal.
-    Bounds live in one ascending bisect-maintained list; python's C-level
-    ``list`` splicing keeps this fast for the few thousand survivors a
-    partition sees.
+    An unchecked set's bound never changes in this phase — only a
+    completed matching lowers one, and that set is checked from then on
+    — so the visiting order (largest bound first, lower id on ties) is
+    one ``(-UB, id)`` sort made up front: ``ids`` / ``lower`` / ``upper``
+    are the survivors in that order. ``theta_ub`` reads the same bounds
+    as one ascending list, from which a retired set's bound is removed
+    and in which a matched set's bound moves down to its exact score.
+    The walk retires sets from the top of that list, so the splices
+    stay short however many survivors — tens of thousands on a dense
+    corpus — a partition sees.
     """
 
-    def __init__(self, bounds: Mapping[int, float], k: int) -> None:
-        self._bounds = dict(bounds)
-        self._sorted = sorted(self._bounds.values())
+    def __init__(self, survivors: Survivors, k: int) -> None:
+        order = np.lexsort((survivors.ids, -survivors.upper))
+        self.ids: list[int] = survivors.ids[order].tolist()
+        self.lower: list[float] = survivors.lower[order].tolist()
+        self.upper: list[float] = survivors.upper[order].tolist()
+        #: How many of them the walk has visited so far.
+        self.visited = 0
+        self._sorted = self.upper[::-1]
         self._k = k
 
-    def __contains__(self, set_id: int) -> bool:
-        return set_id in self._bounds
-
     def __len__(self) -> int:
-        return len(self._bounds)
-
-    def value(self, set_id: int) -> float:
-        return self._bounds[set_id]
+        """Sets still alive."""
+        return len(self._sorted)
 
     def theta_ub(self) -> float:
         """The k-th largest alive upper bound; 0.0 when fewer than k sets
@@ -96,34 +102,31 @@ class _UpperBoundLedger:
             return 0.0
         return self._sorted[-self._k]
 
-    def _drop_value(self, value: float) -> None:
-        index = bisect.bisect_left(self._sorted, value)
-        del self._sorted[index]
+    def remove(self, bound: float) -> None:
+        """A set whose current bound is ``bound`` died."""
+        del self._sorted[bisect.bisect_left(self._sorted, bound)]
 
-    def remove(self, set_id: int) -> None:
-        self._drop_value(self._bounds.pop(set_id))
-
-    def lower_to(self, set_id: int, value: float) -> None:
-        """Decrease a set's bound (bounds never increase in this phase)."""
-        self._drop_value(self._bounds[set_id])
+    def lower_to(self, bound: float, value: float) -> None:
+        """A set's bound dropped from ``bound`` to ``value`` (bounds
+        never increase in this phase)."""
+        self.remove(bound)
         bisect.insort(self._sorted, value)
-        self._bounds[set_id] = value
-
-    def alive_ids(self) -> list[int]:
-        return list(self._bounds)
 
     def nbytes(self) -> int:
-        """Estimated footprint: one id and one bound per alive set,
-        plus the sorted list's table (it shares the bound floats)."""
-        return container_bytes(
-            self._bounds, INT_BYTES + FLOAT_BYTES
-        ) + container_bytes(self._sorted, 0)
+        """Estimated footprint: one id and two bounds per survivor, plus
+        the ascending list's table (it shares the bound floats)."""
+        return (
+            container_bytes(self.ids, INT_BYTES)
+            + container_bytes(self.lower, FLOAT_BYTES)
+            + container_bytes(self.upper, FLOAT_BYTES)
+            + container_bytes(self._sorted, 0)
+        )
 
 
 def postprocess(
     query: frozenset[str],
     collection: SetCollection,
-    survivors: dict[int, CandidateState],
+    survivors: Survivors | Mapping[int, CandidateState],
     sim: SimilarityFunction,
     alpha: float,
     k: int,
@@ -141,6 +144,9 @@ def postprocess(
 
     Parameters
     ----------
+    survivors:
+        What refinement handed over: :class:`~repro.core.bounds.Survivors`
+        arrays, or the reference loop's ``set id -> state`` map.
     cache_by_token:
         The ``sim_cache`` already grouped by vocabulary token (see
         :func:`index_cache_by_token`). The columnar engine groups the
@@ -160,37 +166,31 @@ def postprocess(
         a whole batch.
     verifier:
         Optional :class:`~repro.core.fastpath_verify.ColumnarVerifier`.
-        When given, candidate weight matrices come from its shared
-        batched-matmul block instead of per-candidate ``cache_view`` +
-        ``build_graph`` calls; the pruning schedule below is untouched
-        either way, which is what keeps the two verification engines
-        bitwise-identical.
+        When given, it answers each verification — from one batched
+        pass for the sets the initial Lemma-8 check retires, from its
+        shared weight block for the rest — instead of per-candidate
+        ``cache_view`` + ``build_graph`` calls; the pruning schedule
+        below is untouched either way, which is what keeps the two
+        verification engines bitwise-identical.
 
     Returns the partition's (at most k) result sets in descending
     score/bound order.
     """
-    if not survivors:
+    survivors = Survivors.of(survivors)
+    if not len(survivors):
         return []
 
-    ledger = _UpperBoundLedger(
-        {sid: state.final_upper for sid, state in survivors.items()}, k
-    )
+    ledger = _UpperBoundLedger(survivors, k)
+    stats.memory.record("postproc_upper_bounds", ledger.nbytes())
     if cache_by_token is None:
         cache_by_token = index_cache_by_token(sim_cache)
     if verifier is not None:
-        verifier.prepare(survivors, cache_by_token)
-    lower: dict[int, float] = {
-        sid: state.lower_bound for sid, state in survivors.items()
-    }
-    exact: dict[int, float] = {}
-    checked: set[int] = set()
-    # Max-heap over unchecked alive sets; stale entries are skipped by
-    # comparing against the ledger's current value.
-    heap: list[tuple[float, int]] = [
-        (-ub, sid)
-        for sid, ub in ((s, ledger.value(s)) for s in ledger.alive_ids())
-    ]
-    heapq.heapify(heap)
+        verifier.prepare(survivors.ids, cache_by_token)
+    ids, upper = ledger.ids, ledger.upper
+    # The sets the walk visited and kept alive — accepted without a
+    # matching or matched to completion — as the entries they would
+    # leave the phase with.
+    kept: dict[int, VerifiedEntry] = {}
 
     bound_reader: Callable[[], float] | None = None
     if config.use_em_early_termination:
@@ -198,10 +198,11 @@ def postprocess(
     if deadline is not None:
         bound_reader = _deadline_bound(bound_reader, deadline)
 
-    def verify(set_id: int):
+    def verify(position: int):
         """One Hungarian run against the live threshold."""
+        set_id = ids[position]
         if verifier is not None:
-            return set_id, verifier.match(set_id, bound_reader)
+            return position, verifier.match(set_id, bound_reader)
         result, _, _ = semantic_overlap_matching(
             query,
             collection[set_id],
@@ -210,25 +211,32 @@ def postprocess(
             cached_scores=cache_view(cache_by_token, collection[set_id]),
             bound=bound_reader,
         )
-        return set_id, result
+        return position, result
 
-    def apply_em_result(set_id: int, result) -> None:
+    def apply_em_result(position: int, result) -> None:
         stats.em_label_updates += result.label_updates
         if result.pruned:
             stats.em_early_terminated += 1
-            ledger.remove(set_id)
-            lower.pop(set_id, None)
+            if not result.label_updates:
+                # Lemma 8 on the initial labeling: no solver work.
+                stats.em_initial_pruned += 1
+            ledger.remove(upper[position])
             return
-        score = result.score
         stats.em_full += 1
-        survivors[set_id].resolve(score)
-        exact[set_id] = score
-        checked.add(set_id)
-        if score < ledger.value(set_id):
-            ledger.lower_to(set_id, score)
-        lower[set_id] = score
+        set_id, score, bound = ids[position], result.score, upper[position]
+        if score < bound:
+            ledger.lower_to(bound, score)
+            bound = score
+        kept[set_id] = VerifiedEntry(
+            set_id=set_id,
+            score=score,
+            exact=True,
+            lower_bound=score,
+            upper_bound=bound,
+        )
         theta.offer(set_id, score)
 
+    batch_size = max(1, em_workers)
     executor = (
         ThreadPoolExecutor(max_workers=em_workers) if em_workers > 1 else None
     )
@@ -237,17 +245,16 @@ def postprocess(
             if deadline is not None and time.perf_counter() > deadline:
                 raise SearchTimeout("post-processing exceeded its budget")
             batch = _select_batch(
-                heap, ledger, lower, checked, theta, stats, config,
-                max(1, em_workers),
+                ledger, kept, theta, stats, config, batch_size
             )
             if not batch:
                 break
             if executor is None or len(batch) == 1:
-                for set_id in batch:
-                    apply_em_result(*verify(set_id))
+                for position in batch:
+                    apply_em_result(*verify(position))
             else:
-                for set_id, result in executor.map(verify, batch):
-                    apply_em_result(set_id, result)
+                for position, result in executor.map(verify, batch):
+                    apply_em_result(position, result)
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
@@ -255,25 +262,22 @@ def postprocess(
     # Sets still alive but never examined when the phase terminated were
     # resolved without any matching; the paper's per-filter tables count
     # them in the No-EM column, and so do we.
-    stats.no_em_discarded += len(ledger) - len(checked)
-    stats.memory.record("postproc_upper_bounds", ledger.nbytes())
+    unvisited = len(ids) - ledger.visited
+    stats.no_em_discarded += unvisited
     if verifier is not None:
-        stats.memory.record("verify_weight_block", verifier.nbytes())
+        verifier_bytes = verifier.nbytes()
+        stats.memory.record("verify_weight_block", verifier_bytes)
         # Resource attribution for per-tenant accounting and EXPLAIN:
-        # the batched matmul's size/FLOPs and the weight-block bytes
-        # every column gather scans.
+        # the batched matmul's size/FLOPs and the bytes the phase
+        # scanned to answer its verifications.
         stats.verify_matmul_cells += verifier.matmul_cells
         stats.verify_matmul_flops += verifier.matmul_flops
-        stats.verify_bytes_scanned += verifier.nbytes()
+        stats.verify_bytes_scanned += verifier_bytes
         stats.verify_fallbacks += verifier.fallback_count
     # Tracing hook (observation only): how verification resolved the
     # survivors — exact matchings run vs. sets retired without one.
-    annotate(
-        em_checked=len(checked),
-        no_em=len(ledger) - len(checked),
-        survivors=len(ledger),
-    )
-    return _final_entries(ledger, lower, exact, checked, k)
+    annotate(em_checked=len(kept), no_em=unvisited, survivors=len(ledger))
+    return _final_entries(kept, k)
 
 
 def _deadline_bound(
@@ -325,10 +329,8 @@ def cache_view(
 
 
 def _select_batch(
-    heap: list[tuple[float, int]],
     ledger: _UpperBoundLedger,
-    lower: dict[int, float],
-    checked: set[int],
+    kept: dict[int, VerifiedEntry],
     theta: ThetaLB,
     stats: SearchStats,
     config: FilterConfig,
@@ -336,83 +338,57 @@ def _select_batch(
 ) -> list[int]:
     """Pick the next sets that genuinely need a graph matching.
 
-    Applies, in upper-bound order: termination (the highest unchecked
-    bound fell out of the top-k), the lazy ``UB < theta_lb`` discard, and
-    the No-EM acceptance — exactly the order of Algorithm 2. Returns at
-    most ``batch_size`` set ids for verification.
+    Continues the ledger's walk and applies, in upper-bound order:
+    termination (the highest unchecked bound fell out of the top-k), the
+    lazy ``UB < theta_lb`` discard, and the No-EM acceptance — exactly
+    the order of Algorithm 2. Returns at most ``batch_size`` walk
+    positions for verification.
     """
+    ids, lower, upper = ledger.ids, ledger.lower, ledger.upper
+    theta_ub = ledger.theta_ub
+    gated = not config.exhaustive_verification
+    use_no_em = config.use_no_em
     batch: list[int] = []
-    while len(batch) < batch_size:
-        set_id, upper = _peek_unchecked(heap, ledger, checked)
-        if set_id is None:
-            break
-        if not config.exhaustive_verification:
-            if upper < ledger.theta_ub():
-                break  # every unchecked set is outside L_ub: phase complete
-        heapq.heappop(heap)
-        if not config.exhaustive_verification and upper < theta.value:
+    position = ledger.visited
+    while len(batch) < batch_size and position < len(ids):
+        bound = upper[position]
+        if gated and bound < theta_ub():
+            break  # every unchecked set is outside L_ub: phase complete
+        if gated and bound < theta.value:
             stats.no_em_discarded += 1
-            ledger.remove(set_id)
-            lower.pop(set_id, None)
-            continue
-        if config.use_no_em and lower[set_id] >= ledger.theta_ub():
+            ledger.remove(bound)
+        elif use_no_em and lower[position] >= theta_ub():
             stats.no_em_accepted += 1
-            checked.add(set_id)
-            continue
-        # Batching several EMs is sound: theta_ub only decreases and
-        # theta_lb only increases, so acceptances and discards made while
-        # sibling verifications are in flight can never become invalid.
-        batch.append(set_id)
+            set_id = ids[position]
+            kept[set_id] = VerifiedEntry(
+                set_id=set_id,
+                score=lower[position],
+                exact=False,
+                lower_bound=lower[position],
+                upper_bound=bound,
+            )
+        else:
+            # Batching several EMs is sound: theta_ub only decreases and
+            # theta_lb only increases, so acceptances and discards made
+            # while sibling verifications are in flight can never become
+            # invalid.
+            batch.append(position)
+        position += 1
+    ledger.visited = position
     return batch
 
 
-def _peek_unchecked(
-    heap: list[tuple[float, int]],
-    ledger: _UpperBoundLedger,
-    checked: set[int],
-) -> tuple[int | None, float]:
-    """The alive, unchecked set with the largest current upper bound."""
-    while heap:
-        neg_upper, set_id = heap[0]
-        if (
-            set_id not in ledger
-            or set_id in checked
-            or ledger.value(set_id) != -neg_upper
-        ):
-            heapq.heappop(heap)
-            continue
-        return set_id, -neg_upper
-    return None, 0.0
-
-
 def _final_entries(
-    ledger: _UpperBoundLedger,
-    lower: dict[int, float],
-    exact: dict[int, float],
-    checked: set[int],
-    k: int,
+    kept: dict[int, VerifiedEntry], k: int
 ) -> list[VerifiedEntry]:
     """The final ``L_ub``: the k alive sets with the largest bounds.
 
-    All of them are checked (that was the termination condition); ties at
-    the k-th bound prefer checked sets, then lower set ids, making the
-    output deterministic.
+    All of them were visited and kept — the walk stops only once every
+    unvisited bound is strictly below the k-th largest alive one — so
+    they are chosen among ``kept``; ties at the k-th bound prefer lower
+    set ids, making the output deterministic.
     """
     ranked = sorted(
-        ledger.alive_ids(),
-        key=lambda sid: (-ledger.value(sid), sid not in checked, sid),
+        kept.values(), key=lambda e: (-e.upper_bound, e.set_id)
     )
-    entries = []
-    for set_id in ranked[:k]:
-        score = exact.get(set_id)
-        entries.append(
-            VerifiedEntry(
-                set_id=set_id,
-                score=score if score is not None else lower[set_id],
-                exact=score is not None,
-                lower_bound=lower[set_id],
-                upper_bound=ledger.value(set_id),
-            )
-        )
-    entries.sort(key=lambda e: (-e.score, e.set_id))
-    return entries
+    return sorted(ranked[:k], key=lambda e: (-e.score, e.set_id))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.bounds import CandidateState
+from repro.core.bounds import CandidateState, Survivors
 from repro.core.buckets import BucketStore
 from repro.core.config import FilterConfig
 from repro.core.stats import SearchStats
@@ -46,8 +46,11 @@ class RefinementOutput:
     Attributes
     ----------
     survivors:
-        Candidate states that were not pruned, keyed by set id; each
-        carries its final lower bound and frozen final upper bound.
+        The candidates that were not pruned, each with its final lower
+        bound and frozen final upper bound: states keyed by set id from
+        this module's loop, the same three numbers as
+        :class:`~repro.core.bounds.Survivors` arrays from the columnar
+        engine. Post-processing takes either.
     sim_cache:
         ``(query_token, token) -> similarity`` for every streamed pair —
         reused to initialize verification matrices (§VIII-A3).
@@ -56,7 +59,9 @@ class RefinementOutput:
         it caps every unstreamed pair in the paper's iUB.
     """
 
-    survivors: dict[int, CandidateState] = field(default_factory=dict)
+    survivors: dict[int, CandidateState] | Survivors = field(
+        default_factory=dict
+    )
     sim_cache: dict[tuple[str, str], float] = field(default_factory=dict)
     last_similarity: float = 1.0
 

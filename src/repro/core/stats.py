@@ -7,6 +7,13 @@ The four resolution counters partition the candidate sets exactly the way
 the paper's per-interval tables do:
 
 ``candidates == refinement_pruned + no_em + em_early_terminated + em_full``
+
+``em_initial_pruned`` is outside that identity: it counts the subset of
+``em_early_terminated`` that Lemma 8 ended on the *initial* labeling,
+i.e. the matchings that were entered in the books but cost no solver
+work — the sets the paper calls "pruned without requiring the expensive
+graph matching" once refinement has already removed everything with
+``UB < theta_lb``.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ class SearchStats:
     no_em_accepted: int = 0              # Lemma 7 acceptances
     no_em_discarded: int = 0             # UB < theta_lb discards without EM
     em_early_terminated: int = 0         # Lemma 8 aborts
+    em_initial_pruned: int = 0           # ...of which on the initial labeling
     em_full: int = 0                     # completed Hungarian runs
     em_label_updates: int = 0            # total labeling improvements
     resolution_em: int = 0               # post-hoc exact scoring of results
@@ -47,9 +55,10 @@ class SearchStats:
     # -- verification engine accounting --
     # Cost attribution for the columnar verifier: cells of the shared
     # batched weight block, the FLOP estimate of computing it, the bytes
-    # of the block actually scanned, and candidates routed through the
-    # reference fallback by the GEMM drift guard. All zero under the
-    # reference engine.
+    # the phase scanned (the block, the batched row-maximum pass over
+    # the posting arrays, the columns gathered for solver entries), and
+    # candidates routed through the reference fallback by the GEMM
+    # drift guard. All zero under the reference engine.
     verify_matmul_cells: int = 0
     verify_matmul_flops: int = 0
     verify_bytes_scanned: int = 0
@@ -103,6 +112,7 @@ class SearchStats:
         "no_em_accepted",
         "no_em_discarded",
         "em_early_terminated",
+        "em_initial_pruned",
         "em_full",
         "em_label_updates",
         "resolution_em",
@@ -131,6 +141,11 @@ class SearchStats:
             + self.em_early_terminated
             + self.em_full
         )
+        if self.em_initial_pruned > self.em_early_terminated:
+            violations.append(
+                f"em_initial_pruned={self.em_initial_pruned} exceeds "
+                f"em_early_terminated={self.em_early_terminated}"
+            )
         if self.candidates != resolved:
             violations.append(
                 f"funnel does not partition candidates: "

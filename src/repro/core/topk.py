@@ -30,6 +30,10 @@ class TopKList:
             raise InvalidParameterError("k must be >= 1")
         self._k = k
         self._values: dict[int, float] = {}
+        # The entry the next overflow evicts and the value ``bottom()``
+        # reports, kept current by ``offer``/``remove`` so reads are O(1).
+        self._bottom_id: int | None = None
+        self._bottom = 0.0
 
     @property
     def k(self) -> int:
@@ -52,28 +56,36 @@ class TopKList:
             if value <= current:
                 return False
             self._values[set_id] = value
+            if set_id == self._bottom_id:
+                self._find_bottom()
             return True
-        if len(self._values) < self._k:
-            self._values[set_id] = value
-            return True
-        bottom_id, bottom_value = min(
-            self._values.items(), key=lambda item: (item[1], -item[0])
-        )
-        if value <= bottom_value:
-            return False
-        del self._values[bottom_id]
+        if len(self._values) >= self._k:
+            if value <= self._bottom:
+                return False
+            del self._values[self._bottom_id]
         self._values[set_id] = value
+        self._find_bottom()
         return True
 
     def remove(self, set_id: int) -> None:
         """Drop an entry (used when a set in ``L_ub`` is discarded)."""
-        self._values.pop(set_id, None)
+        if self._values.pop(set_id, None) is not None:
+            self._find_bottom()
+
+    def _find_bottom(self) -> None:
+        """Recompute the eviction candidate: the smallest value, the
+        largest id among equals. O(k), paid only when the list changes
+        at its bottom — never on a read."""
+        if len(self._values) < self._k:
+            self._bottom_id, self._bottom = None, 0.0
+        else:
+            self._bottom_id, self._bottom = min(
+                self._values.items(), key=lambda item: (item[1], -item[0])
+            )
 
     def bottom(self) -> float:
         """The k-th largest value, or 0.0 while the list is unfilled."""
-        if len(self._values) < self._k:
-            return 0.0
-        return min(self._values.values())
+        return self._bottom
 
     def items(self) -> Iterator[tuple[int, float]]:
         """Entries in descending value order (id ascending on ties)."""
@@ -139,10 +151,13 @@ class ThetaLB:
 
     @property
     def value(self) -> float:
-        local = self._llb.bottom()
+        # Read at least once per candidate by both phases, so the local
+        # bottom is an attribute read (same module), not a call.
+        local = self._llb._bottom
         if self._shared is None:
             return local
-        return max(local, self._shared.value)
+        shared = self._shared.value
+        return shared if shared > local else local
 
     def publish(self) -> None:
         """Push the local bottom into the shared threshold."""

@@ -137,6 +137,7 @@ def build_explain(
         "fallbacks": stats.verify_fallbacks,
     }
     report["em"] = {
+        "initial_pruned": stats.em_initial_pruned,
         "label_updates": stats.em_label_updates,
         "resolution_em": stats.resolution_em,
     }
@@ -208,6 +209,15 @@ def render_explain(report: dict) -> str:
                 f"{verify.get('matmul_flops', 0)} flops, "
                 f"{verify.get('bytes_scanned', 0)} bytes scanned, "
                 f"{verify.get('fallbacks', 0)} fallbacks"
+            )
+        em = report.get("em") or {}
+        if em:
+            lines.append(
+                f"em: {em.get('initial_pruned', 0)} of "
+                f"{funnel['em_early_terminated']} early terminations on "
+                f"the initial labeling, "
+                f"{em.get('label_updates', 0)} label updates, "
+                f"{em.get('resolution_em', 0)} resolutions"
             )
         stream = report.get("stream") or {}
         if stream:

@@ -1,17 +1,17 @@
 """Tests for Algorithm 2 (post-processing) on controlled inputs."""
 
-import heapq
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import FilterConfig, SearchStats, ThetaLB, TopKList
-from repro.core.bounds import CandidateState
+from repro.core.bounds import CandidateState, Survivors
 from repro.core.postprocessing import (
+    VerifiedEntry,
     _UpperBoundLedger,
     _final_entries,
-    _peek_unchecked,
+    _select_batch,
     postprocess,
 )
 from repro.datasets import SetCollection
@@ -328,88 +328,126 @@ class TestDeadline:
             )
 
 
-class TestUpperBoundLedger:
-    def build(self, bounds, k=2):
-        return _UpperBoundLedger(bounds, k)
+def ledger_of(bounds, k=2, lower=0.0):
+    """A ledger over ``{set id: upper bound}`` (one shared lower bound)."""
+    count = len(bounds)
+    return _UpperBoundLedger(
+        Survivors(
+            ids=np.fromiter(bounds, dtype=np.int64, count=count),
+            lower=np.full(count, lower),
+            upper=np.fromiter(bounds.values(), dtype=np.float64, count=count),
+        ),
+        k,
+    )
 
+
+def walk(ledger, **switches):
+    """Drive ``_select_batch`` one set at a time with a zero
+    ``theta_lb``; returns the set ids it handed out for verification,
+    in order."""
+    config = FilterConfig.koios().without(use_no_em=False, **switches)
+    theta = ThetaLB(TopKList(1))
+    handed = []
+    while True:
+        batch = _select_batch(ledger, {}, theta, SearchStats(), config, 1)
+        if not batch:
+            return handed
+        handed.extend(ledger.ids[position] for position in batch)
+
+
+class TestUpperBoundLedger:
     def test_theta_ub_with_fewer_than_k_alive(self):
-        ledger = self.build({1: 0.9}, k=2)
+        ledger = ledger_of({1: 0.9}, k=2)
         assert ledger.theta_ub() == 0.0
-        ledger.remove(1)
+        ledger.remove(0.9)
         assert ledger.theta_ub() == 0.0
         assert len(ledger) == 0
 
     def test_duplicate_float_bounds_remove_one_instance(self):
-        ledger = self.build({1: 0.5, 2: 0.5, 3: 0.5}, k=2)
+        ledger = ledger_of({1: 0.5, 2: 0.5, 3: 0.5}, k=2)
         assert ledger.theta_ub() == 0.5
-        ledger.remove(2)
+        ledger.remove(0.5)
         assert len(ledger) == 2
-        assert ledger.value(1) == 0.5
-        assert ledger.value(3) == 0.5
         assert ledger.theta_ub() == 0.5
-        ledger.remove(1)
+        ledger.remove(0.5)
         assert ledger.theta_ub() == 0.0  # one alive < k
 
     def test_lower_to_with_duplicates_keeps_sorted_consistent(self):
-        ledger = self.build({1: 0.8, 2: 0.8, 3: 0.6}, k=3)
-        ledger.lower_to(1, 0.6)
-        assert ledger.value(1) == 0.6
-        assert ledger.value(2) == 0.8
+        ledger = ledger_of({1: 0.8, 2: 0.8, 3: 0.6}, k=3)
+        ledger.lower_to(0.8, 0.6)
         assert ledger.theta_ub() == 0.6
-        ledger.lower_to(2, 0.1)
+        ledger.lower_to(0.8, 0.1)
         assert ledger.theta_ub() == 0.1
-        assert sorted(
-            ledger.value(s) for s in ledger.alive_ids()
-        ) == [0.1, 0.6, 0.6]
+        assert ledger._sorted == [0.1, 0.6, 0.6]
 
-    def test_peek_skips_stale_heap_entries_after_lower_to(self):
-        ledger = self.build({1: 0.9, 2: 0.7, 3: 0.5}, k=2)
-        heap = [(-ledger.value(s), s) for s in ledger.alive_ids()]
-        heapq.heapify(heap)
-        ledger.lower_to(1, 0.2)  # heap's (-0.9, 1) entry is now stale
-        set_id, upper = _peek_unchecked(heap, ledger, checked=set())
-        assert (set_id, upper) == (2, 0.7)
-        # The stale entry was dropped, not requeued: 1 is only visible
-        # at its *current* bound once re-pushed by the caller.
-        heapq.heappush(heap, (-0.2, 1))
-        heapq.heappop(heap)  # consume (2, 0.7)
-        set_id, upper = _peek_unchecked(heap, ledger, checked=set())
-        assert (set_id, upper) == (3, 0.5)
+    def test_walk_order_is_bound_descending_then_id(self):
+        ledger = ledger_of({7: 0.5, 2: 0.9, 5: 0.9, 1: 0.7}, k=4)
+        assert ledger.ids == [2, 5, 1, 7]
+        assert ledger.upper == [0.9, 0.9, 0.7, 0.5]
+        assert walk(ledger) == [2, 5, 1, 7]
+        assert ledger.visited == 4
 
-    def test_peek_skips_removed_and_checked(self):
-        ledger = self.build({1: 0.9, 2: 0.7}, k=1)
-        heap = [(-ledger.value(s), s) for s in ledger.alive_ids()]
-        heapq.heapify(heap)
-        ledger.remove(1)
-        set_id, upper = _peek_unchecked(heap, ledger, checked={2})
-        assert set_id is None
-        assert upper == 0.0
-        assert heap == []
+    def test_walk_visits_a_lowered_set_once(self):
+        """A matched set's bound moves down inside ``theta_ub`` only:
+        the walk never meets the set again at its new bound (the heap
+        this replaced re-queued nothing either — it skipped stale
+        entries)."""
+        ledger = ledger_of({1: 0.9, 2: 0.7, 3: 0.5}, k=2)
+        config = FilterConfig.koios().without(use_no_em=False)
+        theta = ThetaLB(TopKList(1))
+
+        def handed():
+            batch = _select_batch(ledger, {}, theta, SearchStats(), config, 1)
+            return [ledger.ids[position] for position in batch]
+
+        assert handed() == [1]
+        ledger.lower_to(0.9, 0.2)  # set 1 matched: exact score 0.2
+        assert ledger.theta_ub() == 0.5
+        assert handed() == [2]
+        assert handed() == [3]
+        assert handed() == []
+        assert ledger.visited == 3
+
+    def test_walk_stops_below_theta_ub(self):
+        """Termination: the highest unvisited bound fell out of the
+        top-k, so nothing further is handed out or counted visited."""
+        ledger = ledger_of({1: 0.9, 2: 0.7, 3: 0.5, 4: 0.4}, k=2)
+        assert walk(ledger) == [1, 2]
+        assert ledger.visited == 2
+        assert len(ledger) == 4  # the unvisited stay alive
+        ledger = ledger_of({1: 0.9, 2: 0.7, 3: 0.5}, k=2)
+        assert walk(ledger, exhaustive_verification=True) == [1, 2, 3]
+        assert ledger.visited == 3
+
+
+def entry(set_id, score, upper, exact=True):
+    return VerifiedEntry(
+        set_id=set_id,
+        score=score,
+        exact=exact,
+        lower_bound=score,
+        upper_bound=upper,
+    )
 
 
 class TestFinalEntriesTieBreaking:
-    def test_checked_sets_win_ties_then_lower_ids(self):
-        ledger = _UpperBoundLedger({1: 0.8, 2: 0.8, 3: 0.8}, k=2)
-        lower = {1: 0.3, 2: 0.4, 3: 0.4}
-        # 3 is checked (exact), 1 and 2 tie unchecked at the same bound:
-        # the checked set enters first, then the lower id.
-        entries = _final_entries(
-            ledger, lower, exact={3: 0.8}, checked={3}, k=2
-        )
-        assert [e.set_id for e in entries] == [3, 1]
-        assert entries[0].exact and entries[0].score == 0.8
-        assert not entries[1].exact and entries[1].score == 0.3
+    def test_kth_bound_ties_prefer_lower_ids(self):
+        kept = {
+            3: entry(3, 0.8, 0.8),
+            1: entry(1, 0.3, 0.8, exact=False),
+            2: entry(2, 0.4, 0.8, exact=False),
+        }
+        # Sets 1 and 2 are chosen (3 loses the tie on id), then ranked
+        # by score: 2 (0.4) ahead of 1 (0.3).
+        entries = _final_entries(kept, k=2)
+        assert [e.set_id for e in entries] == [2, 1]
+        entries = _final_entries(kept, k=3)
+        assert [e.set_id for e in entries] == [3, 2, 1]
+        assert entries[0].exact and not entries[1].exact
 
     def test_output_sorted_by_score_then_id(self):
-        ledger = _UpperBoundLedger({5: 0.9, 2: 0.9, 7: 0.9}, k=3)
-        lower = {5: 0.9, 2: 0.9, 7: 0.9}
-        entries = _final_entries(
-            ledger,
-            lower,
-            exact={5: 0.9, 2: 0.9, 7: 0.9},
-            checked={5, 2, 7},
-            k=3,
-        )
+        kept = {sid: entry(sid, 0.9, 0.9) for sid in (5, 2, 7)}
+        entries = _final_entries(kept, k=3)
         assert [e.set_id for e in entries] == [2, 5, 7]
 
 

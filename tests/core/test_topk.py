@@ -81,6 +81,98 @@ class TestTopKList:
         assert topk.bottom() == pytest.approx(expected)
 
 
+class _TopKByDefinition:
+    """The list with nothing cached: the eviction victim and the bottom
+    are recomputed from the entries on every call."""
+
+    def __init__(self, k):
+        self.k = k
+        self.values = {}
+
+    def offer(self, set_id, value):
+        current = self.values.get(set_id)
+        if current is not None:
+            if value <= current:
+                return False
+            self.values[set_id] = value
+            return True
+        if len(self.values) >= self.k:
+            victim, lowest = min(
+                self.values.items(), key=lambda item: (item[1], -item[0])
+            )
+            if value <= lowest:
+                return False
+            del self.values[victim]
+        self.values[set_id] = value
+        return True
+
+    def remove(self, set_id):
+        self.values.pop(set_id, None)
+
+    def bottom(self):
+        if len(self.values) < self.k:
+            return 0.0
+        return min(self.values.values())
+
+
+class TestMaintainedBottom:
+    """``bottom()`` is kept current by ``offer``/``remove`` instead of
+    being recomputed per read; it must stay the definition's value, and
+    evictions must pick the definition's victim."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["offer", "offer", "offer", "remove"]),
+                st.integers(min_value=0, max_value=7),
+                # Few distinct values: ties, re-offers of a held id at
+                # its own value, and offers equal to the bottom.
+                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_bottom_and_evictions_follow_the_definition(self, k, ops):
+        topk = TopKList(k)
+        model = _TopKByDefinition(k)
+        for op, set_id, value in ops:
+            if op == "offer":
+                assert topk.offer(set_id, value) == model.offer(set_id, value)
+            else:
+                topk.remove(set_id)
+                model.remove(set_id)
+            assert topk.bottom() == model.bottom()
+            assert dict(topk.items()) == model.values
+            assert ThetaLB(topk).value == model.bottom()
+
+    def test_raising_the_bottom_entry_moves_the_bottom(self):
+        topk = TopKList(2)
+        topk.offer(1, 1.0)
+        topk.offer(2, 2.0)
+        assert topk.bottom() == 1.0
+        assert topk.offer(1, 3.0)
+        assert topk.bottom() == 2.0
+
+    def test_remove_unfills_the_list(self):
+        topk = TopKList(2)
+        topk.offer(1, 1.0)
+        topk.offer(2, 2.0)
+        topk.remove(2)
+        assert topk.bottom() == 0.0
+        topk.offer(3, 0.5)
+        assert topk.bottom() == 0.5
+
+    def test_ties_evict_the_larger_id(self):
+        topk = TopKList(2)
+        topk.offer(1, 1.0)
+        topk.offer(5, 1.0)
+        assert topk.offer(3, 2.0)
+        assert 5 not in topk and 1 in topk
+        assert topk.bottom() == 1.0
+
+
 class TestGlobalThreshold:
     def test_monotone_max(self):
         shared = GlobalThreshold()

@@ -2,7 +2,8 @@
 
 Algorithm 2 has two implementations: the reference per-candidate loop
 (``cache_view`` + ``build_graph`` + solver) and the columnar fast path
-(one batched matmul per phase, column-gather matrices, the same solver)
+(one batched matmul and one batched Lemma-8 initial check per phase,
+column-gather matrices for the sets that pass it, the same solver)
 — see :mod:`repro.core.fastpath_verify`. Exactness bugs in the
 Hungarian/pruning interplay are subtle, so the fast path is pinned to
 the reference oracle by a randomized sweep: >= 10 seeds x 2 alphas x
@@ -13,8 +14,9 @@ bitwise-identical result entries (unresolved, i.e. raw
 trajectories, plus a direct ``postprocess``-level comparison of
 ``VerifiedEntry`` lists with and without the injected verifier.
 
-Two counters are compared only in sequential cells (``em_workers=0``):
-``em_full`` / ``em_early_terminated`` / ``em_label_updates`` read the
+Some counters are compared only in sequential cells (``em_workers=0``):
+``em_full`` / ``em_early_terminated`` / ``em_initial_pruned`` /
+``em_label_updates`` read the
 *live* ``theta_lb`` from worker threads, so their split is
 timing-dependent by design when verifications overlap (their sum — the
 sets that entered a matching — stays deterministic and is always
@@ -29,10 +31,12 @@ fixtures.
 """
 
 import itertools
+import time
 
 import pytest
 
 from repro.core import FilterConfig, GlobalThreshold, SearchStats, ThetaLB, TopKList
+from repro.core.fastpath import ColumnarPartition
 from repro.core.fastpath_verify import (
     ColumnarVerifier,
     supports_columnar_verify,
@@ -73,11 +77,17 @@ SEQUENTIAL_COUNTERS = (
     "no_em_accepted",
     "no_em_discarded",
     "em_early_terminated",
+    "em_initial_pruned",
     "em_full",
     "em_label_updates",
     "resolution_em",
 )
-THREADED_EXEMPT = {"em_early_terminated", "em_full", "em_label_updates"}
+THREADED_EXEMPT = {
+    "em_early_terminated",
+    "em_initial_pruned",
+    "em_full",
+    "em_label_updates",
+}
 
 
 class RecordingThreshold(GlobalThreshold):
@@ -191,6 +201,78 @@ class TestDifferentialSweep:
         assert compared == len(SEEDS) * len(ALPHAS)
 
 
+class TestPartitionedAndBudgeted:
+    def test_three_partitions_share_one_threshold(self, tiny_opendata):
+        """The sweep's comparison on a 3-partition engine: partitions
+        run one after another against one shared ``theta_lb``, so later
+        partitions verify against a threshold earlier ones raised."""
+        engines = {
+            engine: tiny_opendata.engine(
+                alpha=0.8,
+                num_partitions=3,
+                config=FilterConfig.koios(engine=engine),
+            )
+            for engine in ("reference", "columnar")
+        }
+        assert engines["columnar"].num_partitions == 3
+        pruned_by_shared = 0
+        for seed in SEEDS:
+            for alpha in ALPHAS:
+                for query in sweep_queries(tiny_opendata.collection, seed):
+                    context = (seed, alpha, sorted(query)[:3])
+                    outcomes = {}
+                    for engine, built in engines.items():
+                        shared = RecordingThreshold()
+                        result = built.search(
+                            query,
+                            K,
+                            alpha=alpha,
+                            resolve_scores=False,
+                            shared_threshold=shared,
+                        )
+                        outcomes[engine] = (
+                            [entry_tuple(e) for e in result.entries],
+                            shared.trajectory,
+                            counters_of(result.stats),
+                            [counters_of(p) for p in result.partition_stats],
+                        )
+                    assert outcomes["columnar"] == outcomes["reference"], context
+                    per_partition = outcomes["columnar"][3]
+                    pruned_by_shared += sum(
+                        p["em_early_terminated"] + p["no_em_discarded"]
+                        for p in per_partition[1:]
+                    )
+        assert pruned_by_shared > 0  # later partitions did use the threshold
+
+    @pytest.mark.parametrize("engine", ("reference", "columnar"))
+    def test_budget_expiring_inside_verification(self, tiny_opendata, engine):
+        """A ``time_budget`` that runs out among the matchings: the
+        search still answers ``timed_out`` with what it had verified,
+        and promptly — not after finishing the phase."""
+        config = FilterConfig.koios(engine=engine).without(
+            use_no_em=False,
+            use_em_early_termination=False,
+            exhaustive_verification=True,
+        )
+        built = tiny_opendata.engine(alpha=0.8, config=config)
+        query = frozenset(tiny_opendata.collection[3])
+        built.search(query, K, alpha=0.7)  # warm
+        started = time.perf_counter()
+        full = built.search(query, K, alpha=0.7)
+        full_seconds = time.perf_counter() - started
+        assert not full.timed_out
+        assert full.stats.em_full == full.stats.postprocessed > 20
+        phases = full.stats.timer.totals
+        budget = phases["refinement"] + 0.25 * phases["postprocessing"]
+
+        started = time.perf_counter()
+        partial = built.search(query, K, alpha=0.7, time_budget=budget)
+        seconds = time.perf_counter() - started
+        assert partial.timed_out
+        assert 0 < partial.stats.em_full < full.stats.em_full
+        assert seconds < 0.75 * full_seconds, (seconds, full_seconds)
+
+
 class TestPostprocessLevelDifferential:
     def test_verified_entry_lists_bitwise_identical(self, tiny_opendata):
         """Drive ``postprocess`` directly — same survivors, same theta
@@ -223,7 +305,8 @@ class TestPostprocessLevelDifferential:
                 verifier = None
                 if use_verifier:
                     verifier = ColumnarVerifier(
-                        query, collection, table, tiny_opendata.sim, alpha
+                        query, collection, table, tiny_opendata.sim, alpha,
+                        ColumnarPartition.build(inverted, table),
                     )
                 entries = postprocess(
                     query,
@@ -277,7 +360,8 @@ class TestPostprocessLevelDifferential:
             verifier = None
             if use_verifier:
                 verifier = ColumnarVerifier(
-                    query, collection, table, tiny_opendata.sim, alpha
+                    query, collection, table, tiny_opendata.sim, alpha,
+                    ColumnarPartition.build(inverted, table),
                 )
             entries = postprocess(
                 query,

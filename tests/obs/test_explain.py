@@ -71,6 +71,25 @@ class TestBuildExplain:
         assert report["verify"]["matmul_flops"] == 400
         json.dumps(report)  # the wire payload must serialize as-is
 
+    def test_em_block_reports_initial_prunes(self):
+        """``em.initial_pruned``: the early terminations that cost no
+        solver work — summed over partitions, outside the funnel."""
+        parts = [
+            partition(40, em_initial_pruned=3, em_label_updates=5),
+            partition(60, em_initial_pruned=4),
+        ]
+        report = build_explain(stats=merged_from(parts), partition_stats=parts)
+        assert report["violations"] == []
+        assert report["em"] == {
+            "initial_pruned": 7, "label_updates": 5, "resolution_em": 0,
+        }
+        assert "em: 7 of 8 early terminations" in render_explain(report)
+        over = partition(40, em_initial_pruned=5)  # only 4 terminated early
+        assert any(
+            "em_initial_pruned" in problem
+            for problem in build_explain(stats=over, strict=False)["violations"]
+        )
+
     def test_partition_sum_mismatch_is_a_violation(self):
         parts = [partition(40), partition(60)]
         merged = merged_from(parts)
