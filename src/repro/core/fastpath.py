@@ -16,28 +16,59 @@ is still watched*, never *how its matching would have grown*.
 1. **Trajectory phase (vectorized).** Tokens and query elements are
    interned to integer ids (:mod:`repro.index.interning`), the inverted
    index becomes two flat CSR arrays, and stream blocks expand into
-   edge arrays via ``np.repeat``. Candidate state is a struct of
-   arrays — ``matched_score``, ``matched_count``, capacities, matched
-   flags over CSR positions — updated with masked fancy indexing. Each
-   candidate's edges apply in stream order ("round" r applies every
-   candidate's r-th edge, all candidates at once), so every partial
-   matching score is bit-for-bit the reference's. The phase emits a
-   compact event log: admissions (with their precomputed first-sight
-   upper bounds) and valid matching extensions, each stamped with its
+   edge arrays (:func:`~repro.index.interning.posting_slices`).
+   Candidate state is a struct of arrays indexed by *local* id —
+   handed out at admission, so it scales with the candidates the
+   stream reaches, not with the largest set id — ``matched_score``,
+   ``matched_count``, capacities, matched flags over CSR positions,
+   updated with masked fancy indexing. Each candidate's edges apply in
+   stream order ("round" r applies every candidate's r-th edge, all
+   candidates at once), so every partial matching score is bit-for-bit
+   the reference's. The phase emits a compact event log: admissions
+   (with their precomputed first-sight upper bounds) and valid matching
+   extensions (with the state they leave), each stamped with its
    stream position.
 
-2. **Replay phase (sequential, exact).** The event log is replayed in
-   stream order through the *reference* threshold machinery — the same
-   :class:`~repro.core.topk.TopKList` offers, the same
-   :class:`~repro.core.buckets.BucketStore` moves and per-tuple sweeps,
-   the same Lemma-2 first-sight check against the live ``theta_lb``.
-   Events of already-pruned candidates are skipped, exactly as the
-   reference skips their posting entries. Because the bounds offered
-   and compared are identical floats applied in the identical order,
-   the pruned set, the survivor states, and the frozen bounds are
-   bitwise-identical to the reference engine's — on *any* input,
-   including the near-tie configurations where the paper-mode iUB is
-   not sound and results genuinely depend on the pruning schedule.
+2. **Replay phase (epoch by epoch, exact).** The pruning schedule is
+   replayed through the reference threshold machinery — the same
+   :class:`~repro.core.topk.ThetaLB` offers, made with the same
+   ``(set id, bound)`` in the same order — but Python runs only for the
+   offers. ``theta_lb`` moves only at an offer, so between two offers
+   every pruning decision is a fixed comparison, and a whole epoch of
+   events is settled with array operations. Two facts make that exact:
+
+   * **Each state needs one check.** The reference's per-tuple bucket
+     sweep prunes a candidate in state ``(m, S)`` at tuple ``t`` iff
+     ``S < theta(t) - m*s[t]`` (its front scan with early stop computes
+     exactly that set). As ``t`` grows ``theta`` rises and ``s`` falls,
+     and IEEE rounding is monotone, so the predicate never turns from
+     true back to false: a state is pruned by some sweep it lives
+     through iff by the last one — the sweep of the tuple before the
+     candidate's next event (the last tuple for its final state), with
+     ``theta`` as it stood after that tuple's events. Safe mode's veto
+     (the sound bound still clears ``theta``) is monotone the same way:
+     a cap is fixed by its first edge because the stream descends, and
+     unseen slots default to the falling ``s``.
+   * **A window of events resolves under constant theta.** Each
+     extension carries the sweep check of the state it leaves, each
+     admission its first-sight check ``upper < theta``. With ``theta``
+     held, one vector pass over a window finds each candidate's first
+     failing check — hence which events are alive — and the first
+     alive event that moves ``theta``: a bound above the ``L_lb``
+     bottom, or the one that fills ``L_lb`` (offers into an unfilled
+     list leave the bottom at 0.0, so they are made in order and do
+     not end the epoch). Everything before it is committed, that offer
+     is applied, ``theta`` is re-read, and the next epoch starts after
+     it; a window with no such event is committed whole and the next
+     one is twice as large.
+
+   The pruned set, the survivor states, all four pruning counters, the
+   final ``L_lb`` and the offer sequence are therefore the reference's
+   — on *any* input, including the near-tie configurations where the
+   paper-mode iUB is not sound and results depend on the schedule. A
+   shared :class:`~repro.core.topk.GlobalThreshold` is read once per
+   epoch: under sequential partitions that is every value the
+   reference reads; under concurrent ones it is a valid interleaving.
 
 The replay only touches admissions and valid extensions; the dominant
 costs of the reference loop — probing edges of pruned candidates,
@@ -63,7 +94,7 @@ stream bitwise-identical).
 from __future__ import annotations
 
 import time
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,6 +113,7 @@ from repro.index.interning import (
     TokenTable,
     csr_advance,
     csr_from_index,
+    posting_slices,
 )
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import annotate
@@ -89,8 +121,16 @@ from repro.obs import annotate
 #: Stream tuples per trajectory block — bounds peak edge-array memory
 #: and the number of per-block "rounds" (max edges one candidate has in
 #: a block); it does not affect results (pruning happens in the exact
-#: replay, not per block).
-BLOCK_SIZE = 4096
+#: replay, not per block). Small enough that on the dense benchmark
+#: corpus a block's edge arrays (≈ 100k edges) are recycled by the
+#: allocator from block to block: at 4096 every search faulted ≈ 20 MB
+#: of them in afresh and spent ≈ 15 % longer in refinement.
+BLOCK_SIZE = 512
+#: Events one replay window spans: windows start at ``MIN_WINDOW`` and
+#: double while they hold no offer, up to ``MAX_WINDOW`` events between
+#: two deadline polls.
+MIN_WINDOW = 256
+MAX_WINDOW = 1 << 15
 
 
 class ColumnarPartition:
@@ -144,9 +184,6 @@ class ColumnarPartition:
                 live = np.flatnonzero(sizes)
                 sizes = sizes[:int(live[-1]) + 1 if live.size else 0]
         return ColumnarPartition(csr, sizes)
-
-    def nbytes(self) -> int:
-        return self.csr.nbytes() + int(self.sizes.nbytes)
 
 
 def sim_cache_from_stream(
@@ -318,7 +355,7 @@ def refine_columnar(
     block_size: int = BLOCK_SIZE,
 ) -> RefinementOutput:
     """Run Algorithm 1 over one partition: vectorized trajectories plus
-    an exact sequential replay of the pruning decisions.
+    an exact epoch replay of the pruning decisions.
 
     Same contract — and bitwise-identical outcome — as
     :func:`repro.core.refinement.refine`; ``partition`` and ``table``
@@ -331,282 +368,46 @@ def refine_columnar(
         sim_cache.update(sim_cache_from_stream(stream))
 
     query_sorted = sorted(query)
-    nq = len(query_sorted)
     q_col, t_col, s_col = stream.columns(table, query_sorted)
     n_tuples = int(s_col.shape[0])
     last_similarity = float(s_col[-1]) if n_tuples else 1.0
     stats.stream_tuples += n_tuples
     stats.final_stream_similarity = last_similarity
 
-    n_ids = partition.n_ids
-    if n_tuples == 0 or n_ids == 0:
+    traj = None
+    if n_tuples and partition.n_ids:
+        traj = _trajectories(
+            query_sorted, (q_col, t_col, s_col), partition, table, stats,
+            config, deadline, block_size,
+        )
+    if traj is None:
         return RefinementOutput(
             survivors=Survivors.of({}),
             sim_cache=sim_cache,
             last_similarity=last_similarity,
         )
 
-    offsets = partition.csr.offsets
-    posting_sets = partition.csr.sets
-    sizes = partition.sizes
-    capacity = np.minimum(nq, sizes)
-
-    # -- query-level precomputation ------------------------------------
-    q_ids = np.fromiter(
-        (table.id_of(q_token) for q_token in query_sorted),
-        dtype=np.int64,
-        count=nq,
-    )
-    is_query_token = np.zeros(len(table), dtype=bool)
-    is_query_token[q_ids[q_ids >= 0]] = True
-    # q_in_c[qi, sid]: query element qi is a member of set sid — drives
-    # both the vanilla overlap |Q ∩ C| and edge validity at admission.
-    q_in_c = np.zeros((nq, n_ids), dtype=bool)
-    for qi in range(nq):
-        q_id = int(q_ids[qi])
-        if q_id >= 0:
-            members = posting_sets[offsets[q_id]:offsets[q_id + 1]]
-            q_in_c[qi, members] = True
-    vanilla_init = config.vanilla_initialization
-    if vanilla_init:
-        vanilla = q_in_c.sum(axis=0).astype(np.int64)
-    else:
-        vanilla = np.zeros(n_ids, dtype=np.int64)
-
-    # -- trajectory struct-of-arrays -----------------------------------
-    seen = np.zeros(n_ids, dtype=bool)
-    score = np.zeros(n_ids, dtype=np.float64)
-    mcount = np.zeros(n_ids, dtype=np.int64)
-    q_matched = np.zeros((nq, n_ids), dtype=bool)
-    token_matched = np.zeros(partition.csr.total_postings, dtype=bool)
-    if vanilla_init:
-        # Vanilla initialization marks a candidate's overlap tokens
-        # matched at admission. A posting position (q_id, C) is by
-        # definition an overlap member of C, so pre-marking every query
-        # token's posting range reproduces that for all candidates at
-        # once (positions are only ever read for admitted candidates).
-        for q_id in q_ids[q_ids >= 0].tolist():
-            token_matched[offsets[q_id]:offsets[q_id + 1]] = True
-    track_caps = config.track_caps
-    caps = np.zeros((nq, n_ids), dtype=np.float64) if track_caps else None
-
-    use_first_sight = config.use_first_sight_ub
-
-    # Event log: admissions and valid extensions, stamped with stream
-    # position. ``order`` is the global (tuple, posting-entry) rank, the
-    # exact order the reference processes them in.
-    ev_order: list[np.ndarray] = []
-    ev_tuple: list[np.ndarray] = []
-    ev_sid: list[np.ndarray] = []
-    ev_score: list[np.ndarray] = []
-    ev_m: list[np.ndarray] = []
-    ev_upper: list[np.ndarray] = []
-    ev_adm: list[np.ndarray] = []
-    # Per-edge log for safe mode's live cap matrix during replay.
-    cap_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    observed_total = 0
-    valid_total = 0
-    edge_base = 0
-
-    for block_start in range(0, n_tuples, block_size):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SearchTimeout("refinement exceeded its budget")
-        block_end = min(block_start + block_size, n_tuples)
-        b_qi = q_col[block_start:block_end]
-        b_tid = t_col[block_start:block_end]
-        b_s = s_col[block_start:block_end]
-
-        t_safe = np.where(b_tid >= 0, b_tid, 0)
-        counts = np.where(b_tid >= 0, offsets[t_safe + 1] - offsets[t_safe], 0)
-        total_edges = int(counts.sum())
-        if total_edges == 0:
-            continue
-        e_tuple = np.repeat(
-            np.arange(block_end - block_start, dtype=np.int64), counts
-        )
-        prefix = np.zeros(counts.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=prefix[1:])
-        e_pos = (
-            np.arange(total_edges, dtype=np.int64)
-            - np.repeat(prefix, counts)
-            + np.repeat(offsets[t_safe], counts)
-        )
-        e_sid = posting_sets[e_pos]
-        e_qi = b_qi[e_tuple]
-        e_s = b_s[e_tuple]
-        if track_caps:
-            cap_edges.append((e_tuple + block_start, e_qi, e_sid, e_s))
-
-        # -- admissions (first sight) ------------------------------------
-        adm_edge = np.zeros(e_sid.shape[0], dtype=bool)
-        fresh = ~seen[e_sid]
-        if fresh.any():
-            fresh_positions = np.flatnonzero(fresh)
-            new_ids, first = np.unique(
-                e_sid[fresh_positions], return_index=True
-            )
-            adm_idx = fresh_positions[first]
-            adm_edge[adm_idx] = True
-            seen[new_ids] = True
-            if vanilla_init:
-                overlap = vanilla[new_ids]
-                score[new_ids] = overlap.astype(np.float64)
-                mcount[new_ids] = overlap
-                q_matched[:, new_ids] = q_in_c[:, new_ids]
-            a_qi = e_qi[adm_idx]
-            a_s = e_s[adm_idx]
-            a_pos = e_pos[adm_idx]
-            # The discovering edge joins the partial matching (it is the
-            # set's maximum-similarity edge; a no-op when either endpoint
-            # is already taken by the vanilla overlap).
-            if vanilla_init:
-                a_valid = (
-                    ~is_query_token[b_tid[e_tuple[adm_idx]]]
-                    & ~q_in_c[a_qi, new_ids]
-                    & (mcount[new_ids] < capacity[new_ids])
-                )
-            else:
-                a_valid = np.ones(new_ids.shape[0], dtype=bool)
-            grown = new_ids[a_valid]
-            score[grown] += a_s[a_valid]
-            mcount[grown] += 1
-            q_matched[a_qi[a_valid], grown] = True
-            token_matched[a_pos[a_valid]] = True
-            if track_caps:
-                caps[a_qi, new_ids] = np.maximum(caps[a_qi, new_ids], a_s)
-            m_after = capacity[new_ids] - mcount[new_ids]
-            if not use_first_sight:
-                upper = np.zeros(new_ids.shape[0], dtype=np.float64)
-            elif track_caps:
-                # Safe Lemma-2 bound at admission: caps are the overlap's
-                # 1.0 entries plus the admission edge, every other slot
-                # defaults to the current similarity — sum the largest
-                # ``capacity`` of them with sequential additions to stay
-                # bitwise-faithful to the reference's left-to-right sum.
-                n_ones = vanilla[new_ids] if vanilla_init else np.zeros(
-                    new_ids.shape[0], dtype=np.int64
-                )
-                remaining = capacity[new_ids] - n_ones
-                upper = n_ones.astype(np.float64)
-                for step in range(int(remaining.max()) if remaining.size else 0):
-                    upper = np.where(remaining > step, upper + a_s, upper)
-            else:
-                upper = score[new_ids] + m_after * a_s
-            ev_order.append(edge_base + adm_idx)
-            ev_tuple.append(block_start + e_tuple[adm_idx])
-            ev_sid.append(new_ids)
-            ev_score.append(score[new_ids].copy())
-            ev_m.append(m_after)
-            ev_upper.append(upper)
-            ev_adm.append(np.ones(new_ids.shape[0], dtype=bool))
-
-        # -- extensions of existing candidates (Lemma 5) -----------------
-        ext = np.flatnonzero(~adm_edge)
-        if ext.size:
-            x_sid = e_sid[ext]
-            x_qi = e_qi[ext]
-            x_pos = e_pos[ext]
-            x_s = e_s[ext]
-            observed_total += int(x_sid.shape[0])
-            # Per-candidate edges must apply in stream order; a stable
-            # sort by set id groups them without reordering, and round r
-            # applies every candidate's r-th edge — cross-candidate
-            # independence makes the rounds fully vectorized.
-            grouped = np.argsort(x_sid, kind="stable")
-            sid_sorted = x_sid[grouped]
-            boundary = np.empty(sid_sorted.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(sid_sorted[1:], sid_sorted[:-1], out=boundary[1:])
-            group_starts = np.flatnonzero(boundary)
-            group_lengths = (
-                np.append(group_starts[1:], sid_sorted.shape[0]) - group_starts
-            )
-            for round_id in range(int(group_lengths.max())):
-                in_round = group_lengths > round_id
-                selected = grouped[group_starts[in_round] + round_id]
-                r_sid = x_sid[selected]
-                r_qi = x_qi[selected]
-                r_pos = x_pos[selected]
-                r_s = x_s[selected]
-                if track_caps:
-                    caps[r_qi, r_sid] = np.maximum(caps[r_qi, r_sid], r_s)
-                valid = (
-                    ~token_matched[r_pos]
-                    & ~q_matched[r_qi, r_sid]
-                    & (mcount[r_sid] < capacity[r_sid])
-                )
-                if not valid.any():
-                    continue
-                picked = selected[valid]
-                v_sid = r_sid[valid]
-                score[v_sid] += r_s[valid]
-                mcount[v_sid] += 1
-                q_matched[r_qi[valid], v_sid] = True
-                token_matched[r_pos[valid]] = True
-                valid_total += int(v_sid.shape[0])
-                ev_order.append(edge_base + ext[picked])
-                ev_tuple.append(block_start + e_tuple[ext[picked]])
-                ev_sid.append(v_sid)
-                ev_score.append(score[v_sid].copy())
-                ev_m.append(capacity[v_sid] - mcount[v_sid])
-                ev_upper.append(np.zeros(v_sid.shape[0], dtype=np.float64))
-                ev_adm.append(np.zeros(v_sid.shape[0], dtype=bool))
-        edge_base += total_edges
-
-    stats.observed_edges += observed_total
-    stats.discarded_edges += observed_total - valid_total
-
     # -- exact replay of the pruning schedule --------------------------
-    survivors_state = _replay(
-        ev_order,
-        ev_tuple,
-        ev_sid,
-        ev_score,
-        ev_m,
-        ev_upper,
-        ev_adm,
-        s_col,
-        theta,
-        stats,
-        config,
-        n_ids,
-        caps,
-        capacity,
-        cap_edges,
-        nq,
-        deadline,
-    )
+    # A trailing 0.0 stands for the exhausted stream (safe mode's caps).
+    s_ext = np.append(s_col, 0.0)
+    state, replay_bytes = _replay(traj, s_ext, theta, stats, config, deadline)
 
     # -- freeze survivors ----------------------------------------------
-    active = np.flatnonzero(np.frombuffer(survivors_state, dtype=np.uint8) == 1)
-    if track_caps and active.size:
-        effective = np.sort(caps[:, active], axis=0)[::-1]
-        totals = np.cumsum(effective, axis=0)
-        final_upper = totals[
-            capacity[active] - 1, np.arange(active.shape[0])
-        ]
-    else:
-        m_rem = capacity[active] - mcount[active]
-        final_upper = score[active] + m_rem * last_similarity
-    survivors = Survivors(ids=active, lower=score[active], upper=final_upper)
-
-    event_bytes = sum(
-        int(array.nbytes)
-        for chunks in (
-            ev_order, ev_tuple, ev_sid, ev_score, ev_m, ev_upper, ev_adm,
+    active = np.flatnonzero(state == 1)
+    active = active[np.argsort(traj.ids[active])]
+    if traj.cap_tuple is not None:
+        final_upper = _sound_bounds(
+            traj, s_ext, active, np.full(active.shape[0], n_tuples)
         )
-        for array in chunks
-    ) + sum(
-        int(array.nbytes) for chunk in cap_edges for array in chunk
+    else:
+        final_upper = (
+            traj.final_score[active] + traj.final_m[active] * last_similarity
+        )
+    survivors = Survivors(
+        ids=traj.ids[active], lower=traj.final_score[active], upper=final_upper
     )
-    columnar_bytes = (
-        partition.nbytes()
-        + int(score.nbytes + mcount.nbytes + seen.nbytes)
-        + int(q_matched.nbytes + q_in_c.nbytes + token_matched.nbytes)
-        + (int(caps.nbytes) if caps is not None else 0)
-        + event_bytes
-    )
+
+    columnar_bytes = traj.nbytes + replay_bytes
     stats.memory.record("columnar_state", columnar_bytes)
     # Tracing hook (observation only — a no-op outside an active span):
     # how much stream the columnar phase chewed and what survived it.
@@ -622,190 +423,398 @@ def refine_columnar(
     )
 
 
+class _Trajectories(NamedTuple):
+    """What the trajectory phase hands to :func:`_replay`: one event per
+    admission or valid matching extension, in the order the reference
+    processes them, and the candidates by local id."""
+
+    at: np.ndarray           # stream position of each event
+    lid: np.ndarray          # its candidate's local id
+    adm: np.ndarray          # admission (True) or extension (False)
+    score: np.ndarray        # S after the event: the bound offered to L_lb
+    check_s: np.ndarray      # admission: its first-sight upper bound;
+    #                          extension: S of the state it leaves
+    check_m: np.ndarray      # extension: m of the state it leaves
+    ids: np.ndarray          # set id of each local id
+    capacity: np.ndarray     # min(|Q|, |C|)
+    final_score: np.ndarray  # S after the candidate's last event
+    final_m: np.ndarray      # m after it
+    cap_tuple: np.ndarray | None  # safe mode: see _sound_bounds
+    nbytes: int              # what the phase holds: state and event log
+
+
+def _trajectories(
+    query_sorted, columns, partition, table, stats, config, deadline,
+    block_size,
+) -> _Trajectories | None:
+    """Every candidate's greedy matching, all candidates at once (see
+    the module docstring); ``None`` when the stream reaches no set."""
+    q_col, t_col, s_col = columns
+    n_tuples = int(s_col.shape[0])
+    nq = len(query_sorted)
+    offsets = partition.csr.offsets
+    posting_sets = partition.csr.sets
+
+    # -- query-level precomputation ------------------------------------
+    q_ids = np.fromiter(
+        (table.id_of(q_token) for q_token in query_sorted),
+        dtype=np.int64,
+        count=nq,
+    )
+    is_query_token = np.zeros(len(table), dtype=bool)
+    is_query_token[q_ids[q_ids >= 0]] = True
+    # The query tokens' own postings: a candidate's vanilla overlap
+    # |Q ∩ C| is the number of them it holds.
+    q_owner, q_pos = posting_slices(offsets, q_ids)
+    q_sets = posting_sets[q_pos]
+    vanilla_init = config.vanilla_initialization
+    use_first_sight = config.use_first_sight_ub
+
+    # -- trajectory struct-of-arrays, by local id ----------------------
+    # Local ids are handed out at admission, so the state scales with
+    # the candidates the stream reaches — at most one per edge — and not
+    # with the largest set id.
+    reached = t_col[t_col >= 0]
+    slots = min(
+        partition.n_ids,
+        int((offsets[reached + 1] - offsets[reached]).sum()),
+    )
+    local_of = np.full(partition.n_ids, -1, dtype=np.int64)
+    ids = np.zeros(slots, dtype=np.int64)
+    capacity = np.zeros(slots, dtype=np.int64)
+    score = np.zeros(slots, dtype=np.float64)
+    mcount = np.zeros(slots, dtype=np.int64)
+    q_matched = np.zeros((nq, slots), dtype=bool)
+    # One flag per CSR position: is that member token of its set matched.
+    token_matched = np.zeros(partition.csr.total_postings, dtype=bool)
+    if vanilla_init:
+        # Vanilla initialization marks a candidate's overlap tokens
+        # matched at admission. A query token's posting positions are
+        # by definition overlap members, so marking them all up front
+        # does that for every candidate at once.
+        token_matched[q_pos] = True
+    cap_tuple = None
+    if config.track_caps:
+        cap_tuple = np.full((slots, nq), n_tuples, dtype=np.int64)
+    admitted = 0
+    chunks: list[tuple[np.ndarray, ...]] = []
+    observed_total = 0
+    valid_total = 0
+
+    for block_start in range(0, n_tuples, block_size):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SearchTimeout("refinement exceeded its budget")
+        e_tuple, e_pos = posting_slices(
+            offsets, t_col[block_start:block_start + block_size]
+        )
+        if not e_pos.size:
+            continue
+        e_tuple += block_start
+        e_sid = posting_sets[e_pos]
+        e_qi = q_col[e_tuple]
+        e_s = s_col[e_tuple]
+        e_lid = local_of[e_sid]
+        # (edge, S after, check S, check m) of this block's events.
+        events: list[tuple[np.ndarray, ...]] = []
+
+        # -- admissions (first sight) ------------------------------------
+        adm_edge = np.zeros(e_sid.shape[0], dtype=bool)
+        fresh = np.flatnonzero(e_lid < 0)
+        if fresh.size:
+            # A set's first edge admits it: each fresh edge's index,
+            # shifted into [-len(edges), -1], goes to its set's local-id
+            # slot (still -1, "unseen") and the minimum stays.
+            fresh_sid = e_sid[fresh]
+            shifted = fresh - e_sid.shape[0]
+            np.minimum.at(local_of, fresh_sid, shifted)
+            adm_idx = fresh[local_of[fresh_sid] == shifted]
+            adm_edge[adm_idx] = True
+            new_ids = e_sid[adm_idx]
+            new = np.arange(admitted, admitted + new_ids.shape[0])
+            local_of[new_ids] = new
+            e_lid[fresh] = local_of[fresh_sid]
+            ids[new] = new_ids
+            capacity[new] = np.minimum(nq, partition.sizes[new_ids])
+            overlap = np.zeros(new.shape[0], dtype=np.int64)
+            if vanilla_init:
+                q_lid = local_of[q_sets]
+                mine = q_lid >= admitted
+                q_matched[q_owner[mine], q_lid[mine]] = True
+                overlap = np.bincount(
+                    q_lid[mine] - admitted, minlength=new.shape[0]
+                )
+                score[new] = overlap
+                mcount[new] = overlap
+            admitted += new.shape[0]
+            a_qi = e_qi[adm_idx]
+            a_s = e_s[adm_idx]
+            # The discovering edge joins the partial matching (it is the
+            # set's maximum-similarity edge; a no-op when either endpoint
+            # is already taken by the vanilla overlap).
+            a_valid = np.ones(new.shape[0], dtype=bool)
+            if vanilla_init:
+                a_valid = (
+                    ~is_query_token[t_col[e_tuple[adm_idx]]]
+                    & ~q_matched[a_qi, new]
+                    & (mcount[new] < capacity[new])
+                )
+            grown = new[a_valid]
+            score[grown] += a_s[a_valid]
+            mcount[grown] += 1
+            q_matched[a_qi[a_valid], grown] = True
+            token_matched[e_pos[adm_idx][a_valid]] = True
+            m_after = capacity[new] - mcount[new]
+            if not use_first_sight:
+                upper = np.zeros(new.shape[0], dtype=np.float64)
+            elif cap_tuple is not None:
+                # Safe Lemma-2 bound at admission: caps are the overlap's
+                # 1.0 entries plus the admission edge, every other slot
+                # defaults to the current similarity — sum the largest
+                # ``capacity`` of them with sequential additions to stay
+                # bitwise-faithful to the reference's left-to-right sum.
+                remaining = capacity[new] - overlap
+                upper = overlap.astype(np.float64)
+                for step in range(int(remaining.max())):
+                    upper = np.where(remaining > step, upper + a_s, upper)
+            else:
+                upper = score[new] + m_after * a_s
+            events.append(
+                (adm_idx, score[new], upper, np.zeros_like(m_after))
+            )
+
+        # -- extensions of existing candidates (Lemma 5) -----------------
+        ext = np.flatnonzero(~adm_edge)
+        if ext.size:
+            observed_total += int(ext.shape[0])
+            # Per-candidate edges must apply in stream order. Round r
+            # applies every candidate's r-th edge of the block, all at
+            # once — cross-candidate independence makes the rounds fully
+            # vectorized. An edge's round is its rank among its
+            # candidate's edges (a sort by (local id, edge) groups them);
+            # a candidate has at most one edge per tuple, so ranks fit
+            # the block size's dtype and order by a radix sort.
+            n_ext = ext.shape[0]
+            x_lid = e_lid[ext]
+            grouped = np.argsort(x_lid * n_ext + np.arange(n_ext))
+            starts = np.flatnonzero(np.diff(x_lid[grouped], prepend=-1))
+            rank = np.empty(n_ext, dtype=np.min_scalar_type(block_size))
+            rank[grouped] = np.arange(n_ext) - np.repeat(
+                starts, np.diff(starts, append=n_ext)
+            )
+            by_round = ext[np.argsort(rank, kind="stable")]
+            x_lid, x_qi, x_pos, x_s = (
+                e_lid[by_round], e_qi[by_round], e_pos[by_round], e_s[by_round]
+            )
+            lo = 0
+            for hi in np.cumsum(np.bincount(rank)).tolist():
+                r_lid, r_qi, r_pos = x_lid[lo:hi], x_qi[lo:hi], x_pos[lo:hi]
+                valid = (
+                    ~token_matched[r_pos]
+                    & ~q_matched[r_qi, r_lid]
+                    & (mcount[r_lid] < capacity[r_lid])
+                )
+                valid_at = lo + np.flatnonzero(valid)
+                lo = hi
+                if not valid_at.size:
+                    continue
+                v_lid = x_lid[valid_at]
+                before = score[v_lid]
+                score[v_lid] += x_s[valid_at]
+                mcount[v_lid] += 1
+                q_matched[x_qi[valid_at], v_lid] = True
+                token_matched[x_pos[valid_at]] = True
+                valid_total += int(v_lid.shape[0])
+                events.append((
+                    by_round[valid_at],
+                    score[v_lid],
+                    before,
+                    capacity[v_lid] - mcount[v_lid] + 1,
+                ))
+
+        if cap_tuple is not None:
+            # A cap is fixed by its first edge (the stream descends), and
+            # edges ascend in tuple order within a block.
+            keys, first = np.unique(e_lid * nq + e_qi, return_index=True)
+            flat = cap_tuple.reshape(-1)
+            flat[keys] = np.minimum(flat[keys], e_tuple[first])
+        if events:
+            # Each chunk ascends in edge order: a merge of sorted runs.
+            edge = np.concatenate([event[0] for event in events])
+            order = np.argsort(edge, kind="stable")
+            edge = edge[order]
+            chunks.append((e_tuple[edge], e_lid[edge], adm_edge[edge]) + tuple(
+                np.concatenate([event[j] for event in events])[order]
+                for j in (1, 2, 3)
+            ))
+
+    stats.observed_edges += observed_total
+    stats.discarded_edges += observed_total - valid_total
+    if not chunks:
+        return None
+    log = [np.concatenate(column) for column in zip(*chunks)]
+    held = (local_of, ids, capacity, score, mcount, q_matched, token_matched)
+    nbytes = sum(int(array.nbytes) for array in (*held, *log))
+    if cap_tuple is not None:
+        nbytes += int(cap_tuple.nbytes)
+        cap_tuple = cap_tuple[:admitted]
+    return _Trajectories(
+        *log,
+        ids=ids[:admitted],
+        capacity=capacity[:admitted],
+        final_score=score[:admitted],
+        final_m=capacity[:admitted] - mcount[:admitted],
+        cap_tuple=cap_tuple,
+        nbytes=nbytes,
+    )
+
+
+def _sound_bounds(
+    traj: _Trajectories, s_ext: np.ndarray, lids: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Safe mode's sound upper bound of candidates ``lids`` as of tuple
+    ``at``: the ``capacity`` largest per-query-element caps, summed left
+    to right as the reference does. A cap is the similarity of the
+    element's first edge into the candidate — the stream descends, so
+    no later edge raises it — or ``s[at]`` while none has streamed
+    (``at = n_tuples`` reads the exhausted stream's trailing 0.0)."""
+    caps = s_ext[np.minimum(traj.cap_tuple[lids], at[:, None])]
+    caps = np.sort(caps, axis=1)[:, ::-1]
+    return np.cumsum(caps, axis=1)[
+        np.arange(lids.shape[0]), traj.capacity[lids] - 1
+    ]
+
+
 def _replay(
-    ev_order,
-    ev_tuple,
-    ev_sid,
-    ev_score,
-    ev_m,
-    ev_upper,
-    ev_adm,
-    s_col,
+    traj: _Trajectories,
+    s_ext: np.ndarray,
     theta: ThetaLB,
     stats: SearchStats,
     config: FilterConfig,
-    n_ids: int,
-    caps,
-    capacity,
-    cap_edges,
-    nq: int,
     deadline: float | None,
-) -> bytearray:
-    """Replay the event log through the reference threshold machinery.
+) -> tuple[np.ndarray, int]:
+    """Replay the pruning schedule one ``theta_lb`` epoch at a time.
 
-    Returns the candidate state table (0 unseen, 1 survivor, 2 pruned).
-    Every ``theta_lb`` offer, first-sight check, and per-tuple iUB sweep
-    happens with the same values in the same order as the reference
-    loop, so the pruning decisions are identical — the property the
-    engine-equivalence guarantee rests on.
-
-    The bucket structure is replaced by per-``m`` lazy min-heaps: a
-    sweep's outcome is the pure predicate ``S_i + m * s < theta_lb``
-    (the reference's front-scan with early stop computes exactly that
-    set), so any structure yielding the same set is equivalent, and a
-    heap with lazy invalidation costs O(log) per matching extension
-    instead of two bisected list splices.
+    Returns the candidate state table by local id (0 unseen, 1
+    survivor, 2 pruned) and the bytes the replay held. Every
+    ``theta.offer`` is made with the same ``(set id, bound)`` in the
+    same order as the reference loop, and every first-sight and sweep
+    decision compares the same floats against the same threshold (the
+    module docstring says why one check per state and constant-``theta``
+    windows suffice), so the pruned set, the counters and ``L_lb`` are
+    the reference's.
     """
-    use_first_sight = config.use_first_sight_ub
-    use_buckets = config.use_iub_buckets
-    track_caps = config.track_caps
-    n_tuples = int(s_col.shape[0])
+    n_events = int(traj.at.shape[0])
+    state = np.zeros(traj.ids.shape[0], dtype=np.uint8)
+    # Scratch: window position of each candidate's first failing check.
+    first_fail = np.full(state.shape[0], n_events, dtype=np.int64)
+    # theta after each tuple's events, recorded epoch by epoch.
+    theta_end = np.zeros(s_ext.shape[0])
+    llb, shared = theta.local, theta.shared
 
-    state = bytearray(n_ids)
-    if not ev_order:
-        return state
-    order = np.argsort(np.concatenate(ev_order), kind="stable")
-    e_tuple = np.concatenate(ev_tuple)[order].tolist()
-    e_sid = np.concatenate(ev_sid)[order].tolist()
-    e_score = np.concatenate(ev_score)[order].tolist()
-    e_m = np.concatenate(ev_m)[order].tolist()
-    e_upper = np.concatenate(ev_upper)[order].tolist()
-    e_adm = np.concatenate(ev_adm)[order].tolist()
-    n_events = len(e_tuple)
+    def prunes(lids, s_state, m_state, at):
+        """Whether the sweep of tuple ``at`` prunes state ``(m, S)``:
+        ``S < theta - m*s``, unless safe mode's sound bound still clears
+        ``theta`` (the Lemma-6 veto)."""
+        threshold = theta_end[at]
+        prune = s_state < threshold - m_state * s_ext[at]
+        if traj.cap_tuple is not None and prune.any():
+            hit = np.flatnonzero(prune)
+            prune[hit] = _sound_bounds(
+                traj, s_ext, lids[hit], at[hit]
+            ) < threshold[hit]
+        return prune
 
-    if track_caps and caps is not None and cap_edges:
-        ce_tuple = np.concatenate([chunk[0] for chunk in cap_edges])
-        ce_qi = np.concatenate([chunk[1] for chunk in cap_edges])
-        ce_sid = np.concatenate([chunk[2] for chunk in cap_edges])
-        ce_s = np.concatenate([chunk[3] for chunk in cap_edges])
-        # Caps are live state during replay: rewind the trajectory's
-        # final matrix and re-apply per tuple so sweeps read the caps
-        # the reference would see at that stream position.
-        caps_live = np.zeros_like(caps)
-        ce_bounds = np.searchsorted(
-            ce_tuple, np.arange(n_tuples + 1), side="left"
-        )
-    else:
-        caps_live = None
-        ce_bounds = None
-
-    import heapq
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    # Per-m lazy heaps: the authoritative (m, S) of a candidate lives in
-    # cur_m/cur_score; heap entries that no longer match are skipped on
-    # pop. A candidate's score strictly increases with every move, so a
-    # stale entry can never collide with a current one.
-    heaps: dict[int, list[tuple[float, int]]] = {}
-    cur_m = [0] * n_ids
-    cur_score = [0.0] * n_ids
-    llb = theta.local
-    shared = theta.shared
-    k = llb.k
-    llb_filled = len(llb) >= k
-    local_bottom = llb.bottom()
-    s_list = s_col.tolist()
-    sweep_stats = 0
-    pruned_first = 0
-    bucket_moves = 0
-
-    def current_theta() -> float:
-        if shared is None:
-            return local_bottom
-        shared_value = shared.value
-        return shared_value if shared_value > local_bottom else local_bottom
-
-    def sound_keeps(set_id: int, similarity: float, threshold: float) -> bool:
-        """Safe mode's sweep veto: candidates whose *sound* bound still
-        clears ``theta_lb`` stay bucketed (Lemma-6 ``keep`` hook)."""
-        column = caps_live[:, set_id]
-        seen_caps = column[column > 0.0]
-        values = np.maximum(seen_caps, similarity)
-        unseen = nq - values.shape[0]
-        if unseen > 0:
-            values = np.concatenate([values, np.full(unseen, similarity)])
-        values = np.sort(values)[::-1]
-        cap = int(capacity[set_id])
-        return float(np.cumsum(values[:cap])[-1]) >= threshold
-
-    pointer = 0
-    for tuple_index in range(n_tuples):
-        if (
-            deadline is not None
-            and tuple_index % 4096 == 0
-            and time.perf_counter() > deadline
-        ):
-            raise SearchTimeout("refinement exceeded its budget")
-        if caps_live is not None:
-            lo, hi = ce_bounds[tuple_index], ce_bounds[tuple_index + 1]
-            if hi > lo:
-                qi_slice = ce_qi[lo:hi]
-                sid_slice = ce_sid[lo:hi]
-                caps_live[qi_slice, sid_slice] = np.maximum(
-                    caps_live[qi_slice, sid_slice], ce_s[lo:hi]
+    start = tuple_start = epochs = windows = 0
+    window = MIN_WINDOW
+    while True:
+        # A new epoch: theta as it stands after the last offer.
+        bottom = llb.bottom()
+        level = bottom if shared is None else max(shared.value, bottom)
+        if start == n_events:
+            break
+        filled = len(llb) >= llb.k
+        epochs += 1
+        epoch_over = False
+        while start < n_events and not epoch_over:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SearchTimeout("refinement exceeded its budget")
+            windows += 1
+            span = slice(start, min(start + window, n_events))
+            lid = traj.lid[span]
+            adm = traj.adm[span]
+            check_s = traj.check_s[span]
+            # Checks in this window land on tuples before its last event.
+            theta_end[tuple_start:traj.at[span.stop - 1]] = level
+            live = state[lid] != 2
+            fail = np.zeros(lid.shape[0], dtype=bool)
+            if config.use_first_sight_ub:
+                fail[adm] = check_s[adm] < level
+            if config.use_iub_buckets:
+                ext = np.flatnonzero(live & ~adm)
+                fail[ext] = prunes(
+                    lid[ext],
+                    check_s[ext],
+                    traj.check_m[span][ext],
+                    traj.at[span][ext] - 1,
                 )
-        while pointer < n_events and e_tuple[pointer] == tuple_index:
-            set_id = e_sid[pointer]
-            bound = e_score[pointer]
-            if e_adm[pointer]:
-                stats.candidates += 1
-                if use_first_sight and e_upper[pointer] < current_theta():
-                    state[set_id] = 2
-                    pruned_first += 1
-                    pointer += 1
-                    continue
-                state[set_id] = 1
-            elif state[set_id] != 1:
-                pointer += 1
-                continue
+            failed = np.flatnonzero(fail)
+            np.minimum.at(first_fail, lid[failed], failed)
+            alive = live & (np.arange(lid.shape[0]) < first_fail[lid])
+            killed = failed[first_fail[lid[failed]] == failed]
+            first_fail[lid[failed]] = n_events
+            # The epoch ends at the first alive event that moves theta:
+            # a bound above the bottom, or the one that fills L_lb
+            # (offers into an unfilled list leave the bottom at 0.0).
+            cut = lid.shape[0]
+            if filled:
+                offers = np.flatnonzero(alive & (traj.score[span] > bottom))
+                if offers.size:
+                    cut = int(offers[0]) + 1
+                    epoch_over = True
+                    theta.offer(
+                        int(traj.ids[lid[cut - 1]]),
+                        float(traj.score[start + cut - 1]),
+                    )
             else:
-                bucket_moves += 1
-            if use_buckets:
-                m_after = e_m[pointer]
-                cur_m[set_id] = m_after
-                cur_score[set_id] = bound
-                heap = heaps.get(m_after)
-                if heap is None:
-                    heap = heaps[m_after] = []
-                heappush(heap, (bound, set_id))
-            if not llb_filled or bound > local_bottom:
-                if theta.offer(set_id, bound):
-                    local_bottom = llb.bottom()
-                    llb_filled = len(llb) >= k
-            pointer += 1
-        if use_buckets:
-            threshold = current_theta()
-            if threshold > 0.0:
-                similarity = s_list[tuple_index]
-                for m_remaining in list(heaps):
-                    heap = heaps[m_remaining]
-                    bucket_threshold = threshold - m_remaining * similarity
-                    vetoed: list[tuple[float, int]] = []
-                    while heap:
-                        entry_score, set_id = heap[0]
-                        if entry_score >= bucket_threshold:
-                            break
-                        heappop(heap)
-                        if (
-                            state[set_id] != 1
-                            or cur_m[set_id] != m_remaining
-                            or cur_score[set_id] != entry_score
-                        ):
-                            continue  # stale or already pruned
-                        if caps_live is not None and sound_keeps(
-                            set_id, similarity, threshold
-                        ):
-                            vetoed.append((entry_score, set_id))
-                            continue
-                        state[set_id] = 2
-                        sweep_stats += 1
-                    for entry in vetoed:
-                        heappush(heap, entry)
-                    if not heap:
-                        del heaps[m_remaining]
+                for position in np.flatnonzero(alive).tolist():
+                    theta.offer(
+                        int(traj.ids[lid[position]]),
+                        float(traj.score[start + position]),
+                    )
+                    if len(llb) >= llb.k:
+                        cut = position + 1
+                        epoch_over = True
+                        break
+            # Commit the window up to the cut.
+            kills = killed[killed < cut]
+            first_sight = int(np.count_nonzero(adm[kills]))
+            stats.candidates += int(np.count_nonzero(adm[:cut]))
+            stats.pruned_first_sight += first_sight
+            stats.pruned_bucket += int(kills.shape[0]) - first_sight
+            stats.bucket_moves += int(
+                np.count_nonzero(alive[:cut] & ~adm[:cut])
+            )
+            state[lid[:cut][alive[:cut] & adm[:cut]]] = 1
+            state[lid[kills]] = 2
+            start += cut
+            if epoch_over:
+                tuple_start = int(traj.at[start - 1])
+                window = max(MIN_WINDOW, min(MAX_WINDOW, 2 * cut))
+            else:
+                window = min(MAX_WINDOW, 2 * window)
 
-    stats.pruned_first_sight += pruned_first
-    stats.pruned_bucket += sweep_stats
-    stats.bucket_moves += bucket_moves
-    return state
+    # Final states meet the sweep of the last tuple.
+    theta_end[tuple_start:] = level
+    if config.use_iub_buckets:
+        alive_ids = np.flatnonzero(state == 1)
+        last = np.full(alive_ids.shape[0], s_ext.shape[0] - 2)
+        pruned = alive_ids[prunes(
+            alive_ids,
+            traj.final_score[alive_ids],
+            traj.final_m[alive_ids],
+            last,
+        )]
+        state[pruned] = 2
+        stats.pruned_bucket += int(pruned.shape[0])
+    annotate(replay_epochs=epochs, replay_windows=windows)
+    return state, int(state.nbytes + first_fail.nbytes + theta_end.nbytes)

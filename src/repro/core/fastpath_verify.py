@@ -68,7 +68,7 @@ from repro.matching.hungarian import (
     MatchingResult,
     hungarian_matching,
 )
-from repro.index.interning import TokenTable
+from repro.index.interning import TokenTable, posting_slices
 from repro.obs import annotate
 
 
@@ -299,13 +299,8 @@ class ColumnarVerifier:
         # Every survivor's row maxima: each non-zero cell's value lands
         # on the survivors of its column's posting slice.
         cell_row, cell_column = np.nonzero(weights)
-        cell_token = union_ids[cell_column]
-        counts = offsets[cell_token + 1] - offsets[cell_token]
-        first = np.cumsum(counts) - counts
-        edge_cell = np.repeat(np.arange(counts.size), counts)
-        edge_position = (
-            np.arange(int(counts.sum()), dtype=np.int64)
-            + (offsets[cell_token] - first)[edge_cell]
+        edge_cell, edge_position = posting_slices(
+            offsets, union_ids[cell_column]
         )
         edge_set = row_of_set[posting_sets[edge_position]]
         alive = edge_set >= 0

@@ -143,6 +143,28 @@ class CSRPostings:
         return int(self.offsets.nbytes + self.sets.nbytes)
 
 
+def posting_slices(
+    offsets: np.ndarray, token_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The posting slices of ``token_ids``, expanded to flat positions.
+
+    Returns ``(owner, positions)``: entry ``j`` is the CSR position
+    ``positions[j]`` of a posting of token ``token_ids[owner[j]]``.
+    Slices follow ``token_ids`` order and ascend within themselves; a
+    negative id (a token outside the table) has an empty slice.
+    """
+    known = token_ids >= 0
+    safe = np.where(known, token_ids, 0)
+    starts = offsets[safe]
+    counts = np.where(known, offsets[safe + 1] - starts, 0)
+    owner = np.repeat(np.arange(token_ids.shape[0], dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts
+    positions = np.arange(owner.shape[0], dtype=np.int64) + (
+        starts - first
+    )[owner]
+    return owner, positions
+
+
 def csr_from_lengths(
     lengths: np.ndarray, members: np.ndarray
 ) -> CSRPostings:

@@ -1,15 +1,34 @@
 """End-to-end tests of the Koios engine against the brute-force oracle."""
 
+import time
+
 import pytest
 
 from repro.baselines import BruteForceSearcher
-from repro.core import FilterConfig, KoiosSearchEngine
+from repro.core import FilterConfig, KoiosSearchEngine, fastpath, refinement
 from repro.datasets import SetCollection
-from repro.embedding import PinnedSimilarityModel
+from repro.embedding import PinnedSimilarityModel, VectorStore
 from repro.errors import EmptyQueryError, InvalidParameterError
+from repro.index.vector_index import ExactCosineIndex
 from repro.sim import CallableSimilarity
+from repro.sim.cosine import CosineSimilarity
 from tests.conftest import assert_same_scores
+from tests.core.test_verify_batched import cluster_corpus
 from tests.helpers import ScanTokenIndex
+
+
+class ExpiringClock:
+    """Stands in for a module's ``time``: the real ``perf_counter`` for
+    the first ``after`` reads, two hours later from then on."""
+
+    def __init__(self, after: int | None) -> None:
+        self.after = after
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        expired = self.after is not None and self.reads > self.after
+        return time.perf_counter() + (7200.0 if expired else 0.0)
 
 
 def make_engine(sets, sims, alpha=0.7, **kwargs):
@@ -207,6 +226,45 @@ class TestTimeBudget:
         assert_same_scores(
             result.scores(), oracle.search({"apple", "pear"}, k=2).scores()
         )
+
+    @pytest.mark.parametrize(
+        "engine,module", [("columnar", fastpath), ("reference", refinement)]
+    )
+    def test_budget_expiring_inside_refinement(
+        self, monkeypatch, engine, module
+    ):
+        """The clock passes the deadline halfway through refinement's
+        polls — past the trajectory blocks, among the replay windows
+        (columnar), or per 256 stream tuples (reference): the search is
+        ``timed_out`` and refinement stops at the very next poll."""
+        sets, provider = cluster_corpus()
+        collection = SetCollection(sets)
+        store = VectorStore(provider, collection.vocabulary)
+        searcher = KoiosSearchEngine(
+            collection,
+            ExactCosineIndex(store, provider),
+            CosineSimilarity(provider),
+            alpha=0.75,
+            config=FilterConfig.koios(engine=engine),
+        )
+        query = frozenset().union(*sets[:6])
+        polls = ExpiringClock(after=None)
+        monkeypatch.setattr(module, "time", polls)
+        full = searcher.search(query, 5, time_budget=3600.0)
+        assert not full.timed_out
+        after = polls.reads // 2
+        if engine == "columnar":
+            blocks = -(-full.stats.stream_tuples // fastpath.BLOCK_SIZE)
+            assert blocks < after < polls.reads
+        assert 0 < after < polls.reads
+
+        clock = ExpiringClock(after=after)
+        monkeypatch.setattr(module, "time", clock)
+        started = time.perf_counter()
+        result = searcher.search(query, 5, time_budget=3600.0)
+        assert result.timed_out
+        assert clock.reads == after + 1
+        assert time.perf_counter() - started < 60.0
 
 
 class TestWorkers:

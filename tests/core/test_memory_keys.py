@@ -3,8 +3,17 @@ the structures report themselves (no object-graph walk)."""
 
 import pytest
 
-from repro.core import FilterConfig
-from repro.core.bounds import PAPER, SAFE, CandidateState, candidate_states_nbytes
+from repro.core import FilterConfig, KoiosSearchEngine
+from repro.core.bounds import (
+    PAPER,
+    SAFE,
+    CandidateState,
+    candidate_states_nbytes,
+)
+from repro.datasets import SetCollection
+from repro.embedding import PinnedSimilarityModel
+from repro.sim import CallableSimilarity
+from tests.helpers import ScanTokenIndex
 
 REFERENCE_KEYS = {
     "inverted_index",
@@ -54,6 +63,40 @@ def test_candidate_states_grows_with_survivors(tiny_opendata):
         unpruned.stats.memory.breakdown()["candidate_states"]
         > pruned.stats.memory.breakdown()["candidate_states"]
     )
+
+
+@pytest.mark.parametrize("iub_mode", [PAPER, SAFE])
+def test_columnar_state_scales_with_candidates_not_set_ids(iub_mode):
+    """``columnar_state`` is what the search itself holds — candidate
+    state by local id, the event log and the replay's arrays — so sets
+    the stream never reaches cost one local-id slot (8 bytes) per set
+    id and one matched flag per posting, nothing as wide as the query.
+    The partition's CSR view belongs to the engine and is not in it."""
+    related = [
+        {"apple", "pear", "plum"},
+        {"apple", "grape", "kiwi"},
+        {"pear", "cherry"},
+    ]
+    sims = {("apple", "cherry"): 0.9, ("kiwi", "grape"): 0.85}
+    query = {"apple", "pear", "kiwi", "plum", "cherry", "fig", "lime"}
+    config = FilterConfig.koios(iub_mode=iub_mode, engine="columnar")
+
+    def columnar_state(unreached):
+        sets = related + [{f"u{i}a", f"u{i}b"} for i in range(unreached)]
+        collection = SetCollection(sets)
+        sim = CallableSimilarity(PinnedSimilarityModel(sims))
+        engine = KoiosSearchEngine(
+            collection,
+            ScanTokenIndex(collection.vocabulary, sim),
+            sim,
+            alpha=0.7,
+            config=config,
+        )
+        result = engine.search(query, k=2)
+        assert result.stats.candidates == len(related)
+        return result.stats.memory.breakdown()["columnar_state"]
+
+    assert columnar_state(2000) - columnar_state(1000) == 1000 * (8 + 2)
 
 
 def test_state_estimate_counts_safe_mode_caps():
