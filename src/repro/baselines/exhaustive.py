@@ -40,7 +40,6 @@ class ExhaustiveBaseline(KoiosSearchEngine):
         use_iub: bool = False,
         num_partitions: int = 1,
         partition_seed: int = 0,
-        em_workers: int = 0,
     ) -> None:
         """``use_iub=True`` yields Baseline+."""
         config = (
@@ -54,7 +53,6 @@ class ExhaustiveBaseline(KoiosSearchEngine):
             num_partitions=num_partitions,
             partition_seed=partition_seed,
             config=config,
-            em_workers=em_workers,
         )
 
 

@@ -269,7 +269,7 @@ def fast_drain(
         raise EmptyQueryError("query set is empty")
     if table is None:
         table = TokenTable.from_vocabulary(vocabulary)
-    row_ids = index.row_token_ids(table)
+    row_ids, _ = index.store.table_maps(table)
     blocks = [
         _per_query_block(index, q_token, table.id_of(q_token), alpha, row_ids)
         for q_token in query

@@ -21,40 +21,37 @@ same query rows against subsets of one vocabulary, so the engine:
    collection or interned for this;
 2. builds, **once per phase**, the dense query × union-vocabulary
    similarity block with a single batched matmul over the shared
-   embedding matrix (:meth:`CosineSimilarity.unit_rows` — the identical
-   float32 stacking :meth:`CosineSimilarity.matrix` performs), then
-   applies the identical-token rule, the ``alpha`` threshold, and the
-   streamed-cache overrides exactly as ``build_graph`` does — cached
-   entries are the same floats in both engines, which is what pins the
-   two engines' matrices bitwise (BLAS matmuls are not shape-invariant,
-   so any *uncached* cell near or above ``alpha`` routes the survivors
-   on its column's posting list through the reference fallback instead
-   — see :meth:`ColumnarVerifier.prepare`);
+   embedding matrix (:meth:`CosineSimilarity.table_rows` — the identical
+   float32 rows :meth:`CosineSimilarity.matrix` stacks, one gather from
+   the store's matrix when the similarity has one), then applies the
+   identical-token rule, the ``alpha`` threshold, and the streamed-cache
+   overrides exactly as ``build_graph`` does — cached entries are the
+   same floats in both engines, which is what pins the two engines'
+   matrices bitwise (BLAS matmuls are not shape-invariant, so any
+   *uncached* cell near or above ``alpha`` routes the survivors on its
+   column's posting list through the reference fallback instead — see
+   :meth:`ColumnarVerifier.prepare`);
 3. computes **every survivor's initial label sum in one batched pass**:
    the block's non-zero cells are expanded along their columns' posting
    slices, a scatter-maximum gives each survivor its row maxima, and the
    rows are summed grouped by padded length so each float is bitwise
    what :func:`~repro.matching.hungarian.initial_label_sum` — and hence
    the solver — would compute from the gathered matrix;
-4. answers each verification from that float against the live threshold
-   — a dictionary read and a comparison for a retired survivor — and
-   only for the few sets that pass interns the members (the shared
-   :class:`~repro.index.interning.TokenTable`'s sorted-token id order
-   makes ``np.sort`` of ids equal the reference's sorted-string column
-   order), gathers the columns and runs the untouched
+4. hands those floats to the walk of
+   :func:`~repro.core.postprocessing.postprocess`, which retires the
+   survivors below ``theta_lb`` with array masks; only the few that pass
+   reach :meth:`ColumnarVerifier.match`, which interns their members
+   (sorted-token ids sort like the reference's string columns), gathers
+   the columns and runs the untouched
    :func:`~repro.matching.hungarian.hungarian_matching`.
 
-The pruning *schedule* — the upper-bound walk, ``theta_ub`` reads, No-EM
-acceptances, batch selection, theta offers — is not reimplemented at
-all: the verifier is injected into the one
-:func:`~repro.core.postprocessing.postprocess` loop and only replaces
-how a verification is answered. Discards, No-EM accepts, early
-terminations, final entries, stats counters, and ``theta_lb``
-trajectories are therefore identical by construction, under every
-ablation, ``em_workers`` width, and deadline path. The differential
-harness (``tests/core/test_verify_equivalence.py``) pins exactly that,
-and ``tests/core/test_verify_batched.py`` pins the batched floats and
-that work follows solver entries, not survivors.
+The pruning *schedule* is not reimplemented here: the reference
+engine's survivors (and the drift guard's fallbacks) take the same
+walk with ``+inf`` label sums, so discards, No-EM accepts, early
+terminations, final entries, counters and ``theta_lb`` trajectories are
+identical by construction under every ablation and deadline path —
+pinned by ``tests/core/test_verify_equivalence.py``;
+``tests/core/test_verify_batched.py`` pins the batched floats.
 """
 
 from __future__ import annotations
@@ -63,35 +60,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.matching.hungarian import (
-    _EPS,
-    MatchingResult,
-    hungarian_matching,
-)
+from repro.matching.hungarian import MatchingResult, hungarian_matching
 from repro.index.interning import TokenTable, posting_slices
 from repro.obs import annotate
-
-
-def _entry_replay(
-    threshold: float | None, bound: Callable[[], float | None]
-) -> Callable[[], float | None]:
-    """A bound whose first read returns an already-observed value.
-
-    Keeps the engines' live-threshold read schedules identical: the
-    verifier's Lemma-8 pre-check consumes the entry read, and the
-    solver's own entry check replays it rather than sampling the
-    (possibly concurrently risen) threshold a second time.
-    """
-    replayed = False
-
-    def read() -> float | None:
-        nonlocal replayed
-        if not replayed:
-            replayed = True
-            return threshold
-        return bound()
-
-    return read
 
 
 def supports_columnar_verify(sim) -> bool:
@@ -100,21 +71,12 @@ def supports_columnar_verify(sim) -> bool:
     The verifier needs the similarity to be embedding-backed — one
     shared matrix whose row products reproduce ``sim.matrix`` — which
     :class:`~repro.sim.cosine.CosineSimilarity` advertises through
-    ``unit_rows``. Other similarities (pinned callables, Jaccard, edit)
-    keep the reference verification path even under the columnar
-    engine.
+    ``unit_rows`` and ``table_rows``. Other similarities (pinned
+    callables, Jaccard, edit) keep the reference verification path even
+    under the columnar engine.
     """
-    return hasattr(sim, "unit_rows")
+    return hasattr(sim, "table_rows")
 
-
-#: What :meth:`ColumnarVerifier.match` answers for every survivor the
-#: initial Lemma-8 check retires — pruned, zero labeling updates. One
-#: shared object: the phase reads nothing else of a retired run, and the
-#: certified label sum stays with the verifier (``label_sum`` is NaN
-#: here, not a bound).
-_INITIALLY_PRUNED = MatchingResult(
-    score=0.0, pruned=True, label_sum=float("nan")
-)
 
 #: Cells of one zero-padded block in :func:`_padded_row_sums` (8 MB of
 #: float64): caps the transient when many survivors share a large size.
@@ -179,8 +141,9 @@ class ColumnarVerifier:
         self._cache_by_token: dict[str, list[tuple[str, float]]] = {}
         self._union_ids = np.zeros(0, dtype=np.int64)
         self._weights: np.ndarray | None = None
-        # set id -> initial label sum, for every survivor.
-        self._label_sums: dict[int, float] = {}
+        # Initial label sum of every survivor, aligned with the ids
+        # prepare() was given.
+        self._label_sums = np.zeros(0)
         # set id -> column positions into the shared weight block, for
         # the sets a matching was actually entered for.
         self._positions: dict[int, np.ndarray] = {}
@@ -206,9 +169,14 @@ class ColumnarVerifier:
         self,
         survivor_ids: np.ndarray,
         cache_by_token: dict[str, list[tuple[str, float]]],
-    ) -> None:
+    ) -> np.ndarray:
         """Build the shared weight block and every survivor's initial
         label sum, in one pass over the partition's posting arrays.
+
+        Returns the label sums aligned with ``survivor_ids``, with
+        ``+inf`` for the survivors the drift guard routes to the
+        reference fallback: the walk never retires those from a batched
+        float, so each of them reaches :meth:`match`.
 
         The block reproduces, for the survivors' union vocabulary, the
         exact per-candidate pipeline of ``build_graph``: float32
@@ -259,11 +227,9 @@ class ColumnarVerifier:
             np.logical_or.reduceat(survivor_posting, offsets[occupied])
         ]
         self._union_ids = union_ids
-        tokens = table.tokens
-        union_tokens = [tokens[i] for i in union_ids.tolist()]
 
         query_matrix = self._sim.unit_rows(self._rows)
-        union_matrix = self._sim.unit_rows(union_tokens)
+        union_matrix = self._sim.table_rows(table, union_ids)
         weights = np.clip(
             query_matrix @ union_matrix.T, 0.0, 1.0
         ).astype(np.float64)
@@ -286,10 +252,14 @@ class ColumnarVerifier:
         weights[weights < alpha] = 0.0
         # Streamed-cache overrides win over recomputed entries, exactly
         # as in build_graph; rows are unique (sorted set), so the scatter
-        # is one cell per cached pair.
+        # is one cell per cached pair, in any order.
         row_of = {token: row for row, token in enumerate(self._rows)}
-        for column, token in enumerate(union_tokens):
-            for q_token, score in cache_by_token.get(token, ()):
+        cached = list(cache_by_token)
+        cached_ids = table.encode(cached)
+        in_union = np.flatnonzero(np.isin(cached_ids, union_ids))
+        columns = np.searchsorted(union_ids, cached_ids[in_union])
+        for index, column in zip(in_union.tolist(), columns.tolist()):
+            for q_token, score in cache_by_token[cached[index]]:
                 row = row_of.get(q_token)
                 if row is not None:
                     weights[row, column] = score if score >= alpha else 0.0
@@ -315,9 +285,7 @@ class ColumnarVerifier:
         label_sums = _padded_row_sums(
             row_max, np.maximum(num_rows, partition.sizes[survivor_ids])
         )
-        self._label_sums = dict(
-            zip(survivor_ids.tolist(), label_sums.tolist())
-        )
+        self._label_sums = label_sums
 
         # Columns with an uncached near/above-alpha cell could gather a
         # matmul float that differs from the reference's per-candidate
@@ -331,7 +299,10 @@ class ColumnarVerifier:
                     for t in suspects.tolist()
                 ]
             )
-            self._fallback = set(holders[row_of_set[holders] >= 0].tolist())
+            holders = holders[row_of_set[holders] >= 0]
+            self._fallback = set(holders.tolist())
+            label_sums = label_sums.copy()
+            label_sums[row_of_set[holders]] = np.inf
         self.matmul_cells = int(weights.size)
         self.matmul_flops = 2 * int(weights.size) * int(
             union_matrix.shape[1]
@@ -351,6 +322,7 @@ class ColumnarVerifier:
             verify_candidates=int(survivor_ids.size) - len(self._fallback),
             verify_fallbacks=len(self._fallback),
         )
+        return label_sums
 
     @property
     def fallback_count(self) -> int:
@@ -381,31 +353,14 @@ class ColumnarVerifier:
     ) -> MatchingResult:
         """One Hungarian run for ``set_id`` against the live threshold.
 
-        Applies the Lemma-8 initial check from the precomputed label
-        sum before touching the candidate: it is the identical float
-        the solver would derive, read against the identical threshold at
-        the identical point, so a retired survivor costs one dictionary
-        read and one comparison, and the decision — pruned, zero label
-        updates — is exactly the reference's.
+        Called only for the survivors the walk could not retire from
+        their batched label sum. The solver's entry check derives the
+        identical float from the gathered matrix and reads the live
+        threshold once, exactly as the reference path does.
         """
         if set_id in self._fallback:
             return self._match_fallback(set_id, bound)
-        if bound is None:
-            return hungarian_matching(self.weights_of(set_id), bound=None)
-        threshold = bound()
-        if (
-            threshold is not None
-            and self._label_sums[set_id] < threshold - _EPS
-        ):
-            return _INITIALLY_PRUNED
-        # Replay the threshold just read into the solver's own entry
-        # check instead of letting it re-read the live bound: the
-        # reference path reads exactly once at this point, and a
-        # concurrently rising theta_lb must not observe an extra read
-        # (subsequent per-update reads stay live).
-        return hungarian_matching(
-            self.weights_of(set_id), bound=_entry_replay(threshold, bound)
-        )
+        return hungarian_matching(self.weights_of(set_id), bound=bound)
 
     def _match_fallback(
         self, set_id: int, bound: Callable[[], float | None] | None

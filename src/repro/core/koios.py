@@ -131,8 +131,6 @@ class KoiosSearchEngine:
         Random partitions processed with a shared ``theta_lb`` (§VI).
     config:
         Filter switches; defaults to full Koios.
-    em_workers:
-        Thread-pool width for parallel verification (0/1 = sequential).
     parallel_partitions:
         Process partitions concurrently on a thread pool, as the paper
         does on its 64-core testbed. Results are identical either way;
@@ -161,7 +159,6 @@ class KoiosSearchEngine:
         num_partitions: int = 1,
         partition_seed: int = 0,
         config: FilterConfig | None = None,
-        em_workers: int = 0,
         parallel_partitions: bool = False,
         set_ids: Iterable[int] | None = None,
         inverted_factory: Callable[[Sequence[int]], InvertedIndex]
@@ -176,7 +173,6 @@ class KoiosSearchEngine:
         self._sim = sim
         self._alpha = alpha
         self._config = config or FilterConfig.koios()
-        self._em_workers = em_workers
         self._parallel_partitions = parallel_partitions
         within = None if set_ids is None else list(set_ids)
         if within is not None and not within:
@@ -519,7 +515,6 @@ class KoiosSearchEngine:
                 self._config,
                 sim_cache=output.sim_cache,
                 cache_by_token=cache_by_token,
-                em_workers=self._em_workers,
                 deadline=deadline,
                 verifier=verifier,
             )

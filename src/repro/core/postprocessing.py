@@ -22,17 +22,46 @@ checked; at that point every unchecked set ``X`` satisfies
 ``SO(X) <= UB(X) < theta_ub <= LB(C)`` for all result sets ``C`` — the
 paper's termination condition, and the reason the result is exact.
 
-Verification can optionally run on a thread pool (the paper uses a C++
-thread pool); all workers read the *live* ``theta_lb`` through a callable,
-so a matching finishing on one thread can early-terminate matchings
-running on others.
+The walk goes one ``theta_lb`` epoch at a time over the ``(-UB, id)``
+order (an unchecked set's bound never changes in this phase, so it is
+one sort). Inside a window of positions ``theta_lb`` and the kept sets'
+bounds are fixed, so every decision is an array mask and Python runs
+only where it must. Four facts make that exact:
+
+* **theta_ub is index arithmetic.** With ``K`` the bounds of the sets
+  visited and kept (No-EM accepts; completed matchings at their score
+  if below their bound), the alive multiset before position ``p`` is
+  ``K ∪ upper[p:]`` — discards and retirements only remove visited
+  positions, so they never change a later ``theta_ub``. Its k-th
+  largest element is ``max over i <= min(|K|, k)`` of
+  ``min(K_desc[i-1], upper[p+k-i-1])``, and ``0.0`` when ``|K| + n - p
+  < k``; across a window it is one merge (see :func:`_theta_ub`),
+  whatever ``|K|`` is. It only selects bounds, so it is bitwise exact.
+* **One precedence order, as masks.** Terminate (gated and ``UB <
+  theta_ub``), discard (gated and ``UB < theta_lb``), No-EM accept
+  (``LB >= theta_ub``), Lemma-8 retirement (early termination on and
+  the initial label sum below ``theta_lb - _EPS``, the solver's own
+  entry check), else a solver entry. ``exhaustive_verification`` turns
+  the gate off, ``use_no_em`` and ``use_em_early_termination`` their
+  masks; discards and retirements are committed as counts.
+* **When an epoch ends.** At a completed matching or a run of No-EM
+  accepts (``K`` and maybe ``theta_lb`` change; an accept keeps its
+  bound alive, so the next position sees the same ``theta_ub``). A
+  solver entry that prunes changes neither, so the walk stays in its
+  window unless ``theta.value`` moved — another shard raised it.
+* **One path for every configuration.** Survivors without a batched
+  label sum — the reference engine's, the drift guard's fallbacks —
+  carry ``+inf`` and always reach the solver.
+
+Solver entries run one at a time against the live threshold, in walk
+order, so the ``theta.offer`` calls — and with them the ``theta_lb``
+trajectory, counters and entries — are those of the per-survivor walk
+kept in ``tests/core/verify_oracle.py``.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -45,9 +74,14 @@ from repro.core.stats import SearchStats
 from repro.core.topk import ThetaLB
 from repro.datasets.collection import SetCollection
 from repro.errors import SearchTimeout
+from repro.matching.hungarian import _EPS, MatchingResult
 from repro.obs import annotate
 from repro.sim.base import SimilarityFunction
-from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
+
+#: Walk positions per window: from ``MIN_WINDOW``, doubling while they
+#: end no epoch, up to ``MAX_WINDOW`` between two deadline polls.
+MIN_WINDOW = 64
+MAX_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -66,63 +100,6 @@ class VerifiedEntry:
     upper_bound: float
 
 
-class _UpperBoundLedger:
-    """The alive sets' upper bounds and the order the phase visits them.
-
-    An unchecked set's bound never changes in this phase — only a
-    completed matching lowers one, and that set is checked from then on
-    — so the visiting order (largest bound first, lower id on ties) is
-    one ``(-UB, id)`` sort made up front: ``ids`` / ``lower`` / ``upper``
-    are the survivors in that order. ``theta_ub`` reads the same bounds
-    as one ascending list, from which a retired set's bound is removed
-    and in which a matched set's bound moves down to its exact score.
-    The walk retires sets from the top of that list, so the splices
-    stay short however many survivors — tens of thousands on a dense
-    corpus — a partition sees.
-    """
-
-    def __init__(self, survivors: Survivors, k: int) -> None:
-        order = np.lexsort((survivors.ids, -survivors.upper))
-        self.ids: list[int] = survivors.ids[order].tolist()
-        self.lower: list[float] = survivors.lower[order].tolist()
-        self.upper: list[float] = survivors.upper[order].tolist()
-        #: How many of them the walk has visited so far.
-        self.visited = 0
-        self._sorted = self.upper[::-1]
-        self._k = k
-
-    def __len__(self) -> int:
-        """Sets still alive."""
-        return len(self._sorted)
-
-    def theta_ub(self) -> float:
-        """The k-th largest alive upper bound; 0.0 when fewer than k sets
-        are alive (then everything alive belongs to the result)."""
-        if len(self._sorted) < self._k:
-            return 0.0
-        return self._sorted[-self._k]
-
-    def remove(self, bound: float) -> None:
-        """A set whose current bound is ``bound`` died."""
-        del self._sorted[bisect.bisect_left(self._sorted, bound)]
-
-    def lower_to(self, bound: float, value: float) -> None:
-        """A set's bound dropped from ``bound`` to ``value`` (bounds
-        never increase in this phase)."""
-        self.remove(bound)
-        bisect.insort(self._sorted, value)
-
-    def nbytes(self) -> int:
-        """Estimated footprint: one id and two bounds per survivor, plus
-        the ascending list's table (it shares the bound floats)."""
-        return (
-            container_bytes(self.ids, INT_BYTES)
-            + container_bytes(self.lower, FLOAT_BYTES)
-            + container_bytes(self.upper, FLOAT_BYTES)
-            + container_bytes(self._sorted, 0)
-        )
-
-
 def postprocess(
     query: frozenset[str],
     collection: SetCollection,
@@ -136,7 +113,6 @@ def postprocess(
     *,
     sim_cache: Mapping[tuple[str, str], float] | None = None,
     cache_by_token: dict[str, list[tuple[str, float]]] | None = None,
-    em_workers: int = 0,
     deadline: float | None = None,
     verifier=None,
 ) -> list[VerifiedEntry]:
@@ -152,26 +128,20 @@ def postprocess(
         :func:`index_cache_by_token`). The columnar engine groups the
         full stream cache once per search and shares it across
         partitions; when omitted it is derived from ``sim_cache`` here.
-    em_workers:
-        When > 1, up to this many Hungarian verifications run concurrently
-        on a thread pool sharing the live ``theta_lb``.
     deadline:
         Absolute ``time.perf_counter()`` deadline; exceeding it raises
         :class:`~repro.errors.SearchTimeout` (the facade converts that
         into a partial, flagged result — the paper's "timed-out query").
-        The deadline is threaded into the matchings themselves (the
-        solver re-reads its bound callable after every labeling update),
-        so a single slow Hungarian run — including ones on pooled
-        workers — aborts promptly instead of overshooting the budget by
-        a whole batch.
+        The walk polls it once per window, and the solver re-reads it
+        with its bound after every labeling update, so a single slow
+        Hungarian run aborts promptly instead of overshooting the budget.
     verifier:
-        Optional :class:`~repro.core.fastpath_verify.ColumnarVerifier`.
-        When given, it answers each verification — from one batched
-        pass for the sets the initial Lemma-8 check retires, from its
-        shared weight block for the rest — instead of per-candidate
-        ``cache_view`` + ``build_graph`` calls; the pruning schedule
-        below is untouched either way, which is what keeps the two
-        verification engines bitwise-identical.
+        Optional :class:`~repro.core.fastpath_verify.ColumnarVerifier`:
+        its batched pass supplies the initial label sums the walk retires
+        survivors from, and it answers each solver entry from its shared
+        weight block instead of per-candidate ``cache_view`` +
+        ``build_graph`` calls. The walk is the same either way, which
+        keeps the two verification engines bitwise-identical.
 
     Returns the partition's (at most k) result sets in descending
     score/bound order.
@@ -180,17 +150,20 @@ def postprocess(
     if not len(survivors):
         return []
 
-    ledger = _UpperBoundLedger(survivors, k)
-    stats.memory.record("postproc_upper_bounds", ledger.nbytes())
+    order = np.lexsort((survivors.ids, -survivors.upper))
+    ids = survivors.ids[order]
+    lower = survivors.lower[order]
+    upper = survivors.upper[order]
     if cache_by_token is None:
         cache_by_token = index_cache_by_token(sim_cache)
     if verifier is not None:
-        verifier.prepare(survivors.ids, cache_by_token)
-    ids, upper = ledger.ids, ledger.upper
-    # The sets the walk visited and kept alive — accepted without a
-    # matching or matched to completion — as the entries they would
-    # leave the phase with.
-    kept: dict[int, VerifiedEntry] = {}
+        label_sums = verifier.prepare(ids, cache_by_token)
+    else:
+        label_sums = np.full(ids.shape[0], np.inf)
+    stats.memory.record(
+        "postproc_upper_bounds",
+        ids.nbytes + lower.nbytes + upper.nbytes + label_sums.nbytes,
+    )
 
     bound_reader: Callable[[], float] | None = None
     if config.use_em_early_termination:
@@ -198,11 +171,10 @@ def postprocess(
     if deadline is not None:
         bound_reader = _deadline_bound(bound_reader, deadline)
 
-    def verify(position: int):
+    def verify(set_id: int) -> MatchingResult:
         """One Hungarian run against the live threshold."""
-        set_id = ids[position]
         if verifier is not None:
-            return position, verifier.match(set_id, bound_reader)
+            return verifier.match(set_id, bound_reader)
         result, _, _ = semantic_overlap_matching(
             query,
             collection[set_id],
@@ -211,58 +183,17 @@ def postprocess(
             cached_scores=cache_view(cache_by_token, collection[set_id]),
             bound=bound_reader,
         )
-        return position, result
+        return result
 
-    def apply_em_result(position: int, result) -> None:
-        stats.em_label_updates += result.label_updates
-        if result.pruned:
-            stats.em_early_terminated += 1
-            if not result.label_updates:
-                # Lemma 8 on the initial labeling: no solver work.
-                stats.em_initial_pruned += 1
-            ledger.remove(upper[position])
-            return
-        stats.em_full += 1
-        set_id, score, bound = ids[position], result.score, upper[position]
-        if score < bound:
-            ledger.lower_to(bound, score)
-            bound = score
-        kept[set_id] = VerifiedEntry(
-            set_id=set_id,
-            score=score,
-            exact=True,
-            lower_bound=score,
-            upper_bound=bound,
-        )
-        theta.offer(set_id, score)
-
-    batch_size = max(1, em_workers)
-    executor = (
-        ThreadPoolExecutor(max_workers=em_workers) if em_workers > 1 else None
+    kept, visited, epochs, windows = _walk(
+        ids, lower, upper, label_sums, k, theta, stats, config, verify,
+        deadline,
     )
-    try:
-        while True:
-            if deadline is not None and time.perf_counter() > deadline:
-                raise SearchTimeout("post-processing exceeded its budget")
-            batch = _select_batch(
-                ledger, kept, theta, stats, config, batch_size
-            )
-            if not batch:
-                break
-            if executor is None or len(batch) == 1:
-                for position in batch:
-                    apply_em_result(*verify(position))
-            else:
-                for position, result in executor.map(verify, batch):
-                    apply_em_result(position, result)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     # Sets still alive but never examined when the phase terminated were
     # resolved without any matching; the paper's per-filter tables count
     # them in the No-EM column, and so do we.
-    unvisited = len(ids) - ledger.visited
+    unvisited = ids.shape[0] - visited
     stats.no_em_discarded += unvisited
     if verifier is not None:
         verifier_bytes = verifier.nbytes()
@@ -275,9 +206,177 @@ def postprocess(
         stats.verify_bytes_scanned += verifier_bytes
         stats.verify_fallbacks += verifier.fallback_count
     # Tracing hook (observation only): how verification resolved the
-    # survivors — exact matchings run vs. sets retired without one.
-    annotate(em_checked=len(kept), no_em=unvisited, survivors=len(ledger))
+    # survivors — exact matchings run vs. sets retired without one — and
+    # the epochs and windows the walk took.
+    annotate(
+        em_checked=len(kept),
+        no_em=unvisited,
+        survivors=len(kept) + unvisited,
+        verify_epochs=epochs,
+        verify_windows=windows,
+    )
     return _final_entries(kept, k)
+
+
+def _walk(
+    ids: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    label_sums: np.ndarray,
+    k: int,
+    theta: ThetaLB,
+    stats: SearchStats,
+    config: FilterConfig,
+    verify: Callable[[int], MatchingResult],
+    deadline: float | None,
+) -> tuple[dict[int, VerifiedEntry], int, int, int]:
+    """Walk the survivors in ``(-UB, id)`` order, a window at a time.
+
+    Returns the kept sets as the entries they leave the phase with, the
+    number of walk positions visited, and the epochs and windows taken.
+    """
+    n = ids.shape[0]
+    gated = not config.exhaustive_verification
+    negated = -upper
+    kept: dict[int, VerifiedEntry] = {}
+    kept_bounds = np.zeros(0)  # the k largest bounds in K, ascending
+    start = epochs = windows = 0
+    window = MIN_WINDOW
+    new_epoch = True
+    while start < n:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SearchTimeout("post-processing exceeded its budget")
+        epochs += new_epoch
+        new_epoch = False
+        windows += 1
+        stop = min(start + window, n)
+        theta_ub = _theta_ub(upper, negated, start, stop, kept_bounds, k)
+        threshold = theta.value
+        terminate = gated & (upper[start:stop] < theta_ub)
+        discard = gated & (upper[start:stop] < threshold)
+        halt = terminate | ~discard
+        if config.use_em_early_termination:
+            halt &= terminate | (label_sums[start:stop] >= threshold - _EPS)
+        if config.use_no_em:
+            halt |= ~discard & (lower[start:stop] >= theta_ub)
+        # Positions before ``cut`` are visited: the halts one by one, the
+        # rest as discards and Lemma-8 retirements.
+        cut = stop - start
+        handled = 0
+        for offset in np.flatnonzero(halt).tolist():
+            position = start + offset
+            if terminate[offset]:
+                cut = offset
+                break  # every unchecked set is outside L_ub
+            if config.use_no_em and lower[position] >= theta_ub[offset]:
+                # theta_ub holds along a run of accepts, and so do the
+                # terminate and discard tests: one mask takes the run.
+                floor = theta_ub[offset]
+                run = lower[position:stop] >= floor
+                if gated:
+                    run &= upper[position:stop] >= max(floor, threshold)
+                length = run.size if run.all() else int(run.argmin())
+                end = position + length
+                for set_id, score, bound in zip(
+                    ids[position:end].tolist(),
+                    lower[position:end].tolist(),
+                    upper[position:end].tolist(),
+                ):
+                    kept[set_id] = VerifiedEntry(
+                        set_id, score, False, score, bound
+                    )
+                stats.no_em_accepted += length
+                kept_bounds = _keep(kept_bounds, upper[position:end][::-1], k)
+                handled += length
+                cut = offset + length
+            else:
+                handled += 1
+                set_id = int(ids[position])
+                result = verify(set_id)
+                stats.em_label_updates += result.label_updates
+                if result.pruned:
+                    stats.em_early_terminated += 1
+                    if not result.label_updates:
+                        stats.em_initial_pruned += 1
+                    if theta.value == threshold:
+                        continue  # theta_lb and K unchanged: same window
+                else:
+                    stats.em_full += 1
+                    score = result.score
+                    bound = min(float(upper[position]), score)
+                    kept[set_id] = VerifiedEntry(
+                        set_id, score, True, score, bound
+                    )
+                    kept_bounds = _keep(kept_bounds, bound, k)
+                    theta.offer(set_id, score)
+                cut = offset + 1
+            new_epoch = True
+            break
+        discarded = int(np.count_nonzero(discard[:cut]))
+        retired = cut - discarded - handled
+        stats.no_em_discarded += discarded
+        stats.em_early_terminated += retired
+        stats.em_initial_pruned += retired
+        if cut < stop - start and not new_epoch:
+            return kept, start + cut, epochs, windows
+        start += cut
+        grown = max(MIN_WINDOW, 2 * cut) if new_epoch else 2 * window
+        window = min(MAX_WINDOW, grown)
+    return kept, n, epochs, windows
+
+
+def _theta_ub(
+    upper: np.ndarray, negated: np.ndarray, start: int, stop: int,
+    kept_bounds: np.ndarray, k: int,
+) -> np.ndarray:
+    """``theta_ub`` before each walk position in ``[start, stop)``.
+
+    ``kept_bounds`` holds the k largest of ``K``, ascending; ``negated``
+    is ``-upper``, ascending. By position ``start + d`` the walk took the
+    d largest unvisited bounds out of ``M = K ∪ upper[start:]``, so the
+    k-th largest alive bound is M's ``(k + d)``-th, or ``K``'s k-th if
+    larger: one merge of at most ``w`` kept and ``w`` unvisited bounds
+    from where a binary search over ``K`` places M's rank k. ``0.0``
+    where fewer than k sets are alive.
+    """
+    n = upper.shape[0]
+    m = kept_bounds.shape[0]
+    width = stop - start
+    theta_ub = np.zeros(width)
+    if m + n - start < k:
+        return theta_ub
+    # ``taken`` kept bounds are among M's k - 1 largest (kept first on
+    # ties): kept bound ``i`` ranks i plus the unvisited bounds above it.
+    rank = k - 1
+    taken, hi = 0, min(m, rank)
+    while taken < hi:
+        mid = (taken + hi) // 2
+        above = int(np.searchsorted(negated, -kept_bounds[m - 1 - mid]))
+        if mid + max(0, above - start) >= rank:
+            hi = mid
+        else:
+            taken = mid + 1
+    first = start + rank - taken
+    ranks = np.sort(
+        np.concatenate([
+            kept_bounds[max(0, m - taken - width):m - taken],
+            upper[first:first + width][::-1],
+        ]),
+        kind="stable",  # two ascending runs: one merge
+    )[::-1][:width]
+    theta_ub[:ranks.size] = ranks
+    if m == k:
+        np.maximum(theta_ub, kept_bounds[0], out=theta_ub)
+    return theta_ub
+
+
+def _keep(kept_bounds: np.ndarray, bounds, k: int) -> np.ndarray:
+    """Merge ascending ``bounds`` into ``kept_bounds``, keeping the k
+    largest (the only ones a k-th largest can be)."""
+    merged = np.sort(  # two ascending runs: one merge
+        np.concatenate([kept_bounds, np.atleast_1d(bounds)]), kind="stable"
+    )
+    return merged[max(0, merged.shape[0] - k):]
 
 
 def _deadline_bound(
@@ -287,11 +386,9 @@ def _deadline_bound(
 
     The solver re-reads its bound after every labeling update, so
     checking the clock there bounds how far a single matching can
-    overshoot the budget — previously the deadline was only polled
-    between batches, and one slow Hungarian run could blow far past it.
-    Returning ``None`` (no early termination configured) keeps the
-    solver's pruning behaviour unchanged; the wrapper only adds the
-    timeout side-channel.
+    overshoot the budget. Returning ``None`` (no early termination
+    configured) keeps the solver's pruning behaviour unchanged; the
+    wrapper only adds the timeout side-channel.
     """
 
     def read() -> float | None:
@@ -326,56 +423,6 @@ def cache_view(
         for token in members
         for q_token, score in cache_by_token.get(token, ())
     }
-
-
-def _select_batch(
-    ledger: _UpperBoundLedger,
-    kept: dict[int, VerifiedEntry],
-    theta: ThetaLB,
-    stats: SearchStats,
-    config: FilterConfig,
-    batch_size: int,
-) -> list[int]:
-    """Pick the next sets that genuinely need a graph matching.
-
-    Continues the ledger's walk and applies, in upper-bound order:
-    termination (the highest unchecked bound fell out of the top-k), the
-    lazy ``UB < theta_lb`` discard, and the No-EM acceptance — exactly
-    the order of Algorithm 2. Returns at most ``batch_size`` walk
-    positions for verification.
-    """
-    ids, lower, upper = ledger.ids, ledger.lower, ledger.upper
-    theta_ub = ledger.theta_ub
-    gated = not config.exhaustive_verification
-    use_no_em = config.use_no_em
-    batch: list[int] = []
-    position = ledger.visited
-    while len(batch) < batch_size and position < len(ids):
-        bound = upper[position]
-        if gated and bound < theta_ub():
-            break  # every unchecked set is outside L_ub: phase complete
-        if gated and bound < theta.value:
-            stats.no_em_discarded += 1
-            ledger.remove(bound)
-        elif use_no_em and lower[position] >= theta_ub():
-            stats.no_em_accepted += 1
-            set_id = ids[position]
-            kept[set_id] = VerifiedEntry(
-                set_id=set_id,
-                score=lower[position],
-                exact=False,
-                lower_bound=lower[position],
-                upper_bound=bound,
-            )
-        else:
-            # Batching several EMs is sound: theta_ub only decreases and
-            # theta_lb only increases, so acceptances and discards made
-            # while sibling verifications are in flight can never become
-            # invalid.
-            batch.append(position)
-        position += 1
-    ledger.visited = position
-    return batch
 
 
 def _final_entries(

@@ -70,6 +70,7 @@ class VectorStore:
             matrix = np.zeros((0, provider.dim), dtype=np.float32)
         self._matrix = matrix.astype(np.float32)
         self._dim = provider.dim
+        self._table_maps: tuple | None = None
 
     @classmethod
     def from_state(
@@ -91,6 +92,7 @@ class VectorStore:
         }
         store._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         store._dim = provider.dim
+        store._table_maps = None
         return store
 
     def extend(self, tokens: Iterable[str]) -> int:
@@ -148,6 +150,20 @@ class VectorStore:
 
     def token_at(self, row: int) -> str:
         return self._tokens[row]
+
+    def table_maps(self, table) -> tuple[np.ndarray, np.ndarray]:
+        """Store row -> ``table`` id and ``table`` id -> store row (-1
+        where the other side lacks the token: stale rows, see
+        :meth:`extend`, are the drain's vocabulary filter). Cached per
+        (table, store size) — the store only grows — holding the table
+        itself, so a collected table's reused ``id()`` cannot hit."""
+        cached = self._table_maps
+        if cached is None or cached[:2] != (table, len(self._tokens)):
+            ids = table.encode(self._tokens)
+            rows = np.full(len(table), -1, dtype=np.int64)
+            rows[ids[ids >= 0]] = np.flatnonzero(ids >= 0)
+            cached = self._table_maps = (table, len(self._tokens), ids, rows)
+        return cached[2], cached[3]
 
     def vector(self, token: str) -> np.ndarray:
         return self._matrix[self.row_of(token)]

@@ -45,7 +45,6 @@ class SearchStack:
         alpha: float = 0.8,
         num_partitions: int = 1,
         config: FilterConfig | None = None,
-        em_workers: int = 0,
     ) -> KoiosSearchEngine:
         return KoiosSearchEngine(
             self.dataset.collection,
@@ -54,7 +53,6 @@ class SearchStack:
             alpha=alpha,
             num_partitions=num_partitions,
             config=config,
-            em_workers=em_workers,
         )
 
 

@@ -86,7 +86,7 @@ def token_table_for(collection) -> TokenTable:
     (when mutable), so every shard engine of a pool — and every
     partition of each engine — interns against one table object, and a
     mutation that leaves the vocabulary alone hands back the *same*
-    object: the stream's column cache, the vector index's row-id map
+    object: the stream's column cache, the vector store's row maps
     and every per-shard CSR view aligned to it stay warm.
     """
     generation = getattr(collection, "vocabulary_generation", None)

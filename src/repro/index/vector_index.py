@@ -76,29 +76,6 @@ class ExactCosineIndex:
         probe = normalize(self._provider.vector(token))
         return np.clip(self._store.matrix @ probe, 0.0, 1.0)
 
-    def row_token_ids(self, table) -> np.ndarray:
-        """Store row -> id in ``table`` (-1 for rows outside it).
-
-        The store may hold stale rows for tokens that left the
-        collection vocabulary (see :meth:`VectorStore.extend`); mapping
-        rows through the collection's token table is exactly the
-        vocabulary filter the reference drain applies per tuple. Cached
-        per (table, store size) — the store only ever grows. The cache
-        holds the table object itself (identity compare): keying by
-        ``id()`` alone would let a garbage-collected table's reused id
-        serve a stale mapping.
-        """
-        cached = getattr(self, "_row_ids_cache", None)
-        if (
-            cached is not None
-            and cached[0] is table
-            and cached[1] == len(self._store)
-        ):
-            return cached[2]
-        row_ids = table.encode(self._store.tokens)
-        self._row_ids_cache = (table, len(self._store), row_ids)
-        return row_ids
-
     def stream(self, token: str) -> Iterator[tuple[str, float]]:
         """Yield ``(vocab_token, cosine)`` in non-increasing order.
 

@@ -143,7 +143,6 @@ class EnginePool:
         shards: int = 1,
         shard_seed: int = 0,
         config: FilterConfig | None = None,
-        em_workers: int = 0,
         parallel_shards: bool = False,
         inverted_factory=None,
         partition: tuple[int, int] | None = None,
@@ -165,7 +164,6 @@ class EnginePool:
         self._shards = shards
         self._shard_seed = shard_seed
         self._config = config
-        self._em_workers = em_workers
         self._reloads = 0
         self._hot_swaps = 0
         self._last_hot_swap_ms = 0.0
@@ -254,7 +252,6 @@ class EnginePool:
             self._sim,
             alpha=self._alpha,
             config=self._config,
-            em_workers=self._em_workers,
             set_ids=set_ids,
             inverted_factory=factory,
         )

@@ -78,16 +78,31 @@ class CosineSimilarity(SimilarityFunction):
 
         This is exactly the embedding-matrix construction of
         :meth:`matrix`; the columnar verification engine
-        (:mod:`repro.core.fastpath_verify`) calls it once per phase to
-        build every candidate's weight matrix from one batched matmul,
-        and gates on this method to know the similarity is
-        embedding-backed.
+        (:mod:`repro.core.fastpath_verify`) builds its query rows with it.
         """
         zero = self._zero
         unit = self._unit_vector
         return np.stack(
             [v if (v := unit(t)) is not None else zero for t in tokens]
         )
+
+    def table_rows(self, table, token_ids: np.ndarray) -> np.ndarray:
+        """:meth:`unit_rows` of the ``table`` tokens ``token_ids``, bitwise:
+        with a backing store, one gather from its matrix through its
+        table id -> row map (``VectorStore.table_maps``); tokens outside
+        the store take the provider / zero-row path."""
+        tokens = table.tokens
+        store = self._store
+        if store is None or not len(store):
+            return self.unit_rows([tokens[i] for i in token_ids.tolist()])
+        rows = store.table_maps(table)[1][token_ids]
+        out = store.matrix[np.maximum(rows, 0)]
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            out[missing] = self.unit_rows(
+                [tokens[i] for i in token_ids[missing].tolist()]
+            )
+        return out
 
     def matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
         """Vectorized similarity matrix with the identical-token and OOV

@@ -3,13 +3,22 @@ dataset stacks, and helpers for building ad-hoc corpora."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.baselines import BruteForceSearcher
 from repro.datasets import SetCollection, TINY_PROFILES, generate_dataset
 from repro.embedding import PinnedSimilarityModel
 from repro.experiments import SearchStack, build_stack
 from repro.sim import CallableSimilarity
+
+#: ``HYPOTHESIS_PROFILE=ci`` (CI's Tier-1 step) draws the same examples
+#: on every run and prints the blob that replays a failing one locally
+#: (``@reproduce_failure``).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 #: Relative tolerance for comparing scores computed through the float32
 #: embedding path against independently recomputed ones (BLAS reduction

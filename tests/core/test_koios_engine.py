@@ -1,11 +1,18 @@
 """End-to-end tests of the Koios engine against the brute-force oracle."""
 
+import sys
 import time
 
 import pytest
 
 from repro.baselines import BruteForceSearcher
-from repro.core import FilterConfig, KoiosSearchEngine, fastpath, refinement
+from repro.core import (
+    FilterConfig,
+    KoiosSearchEngine,
+    fastpath,
+    postprocessing,
+    refinement,
+)
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel, VectorStore
 from repro.errors import EmptyQueryError, InvalidParameterError
@@ -29,6 +36,19 @@ class ExpiringClock:
         self.reads += 1
         expired = self.after is not None and self.reads > self.after
         return time.perf_counter() + (7200.0 if expired else 0.0)
+
+
+class CallerClock(ExpiringClock):
+    """An :class:`ExpiringClock` that also records which function made
+    each read."""
+
+    def __init__(self, after: int | None) -> None:
+        super().__init__(after)
+        self.callers: list[str] = []
+
+    def perf_counter(self) -> float:
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        return super().perf_counter()
 
 
 def make_engine(sets, sims, alpha=0.7, **kwargs):
@@ -266,13 +286,37 @@ class TestTimeBudget:
         assert clock.reads == after + 1
         assert time.perf_counter() - started < 60.0
 
-
-class TestWorkers:
-    def test_parallel_em_matches_sequential(self):
-        seq_engine, oracle = make_engine(FIXTURE_SETS, FIXTURE_SIMS)
-        par_engine, _ = make_engine(FIXTURE_SETS, FIXTURE_SIMS, em_workers=4)
-        query = {"apple", "pear", "plum", "bus"}
-        assert_same_scores(
-            par_engine.search(query, k=4).scores(),
-            seq_engine.search(query, k=4).scores(),
+    @pytest.mark.parametrize("engine", ["columnar", "reference"])
+    def test_budget_expiring_inside_verification(self, monkeypatch, engine):
+        """The clock passes the deadline at the middle one of the
+        verification walk's per-window polls — not at a read the solver
+        makes of its bound: the search is ``timed_out`` and verification
+        stops at that very poll."""
+        sets, provider = cluster_corpus()
+        collection = SetCollection(sets)
+        store = VectorStore(provider, collection.vocabulary)
+        searcher = KoiosSearchEngine(
+            collection,
+            ExactCosineIndex(store, provider),
+            CosineSimilarity(provider),
+            alpha=0.75,
+            config=FilterConfig.koios(engine=engine),
         )
+        query = frozenset(sets[11])
+        polls = CallerClock(after=None)
+        monkeypatch.setattr(postprocessing, "time", polls)
+        full = searcher.search(query, 5, time_budget=3600.0)
+        assert not full.timed_out
+        window_polls = [
+            read for read, caller in enumerate(polls.callers)
+            if caller == "_walk"
+        ]
+        assert len(window_polls) > 2
+        after = window_polls[len(window_polls) // 2]
+
+        clock = CallerClock(after=after)
+        monkeypatch.setattr(postprocessing, "time", clock)
+        result = searcher.search(query, 5, time_budget=3600.0)
+        assert result.timed_out
+        assert clock.reads == after + 1
+        assert clock.callers[-1] == "_walk"

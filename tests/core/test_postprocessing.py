@@ -9,9 +9,7 @@ from repro.core import FilterConfig, SearchStats, ThetaLB, TopKList
 from repro.core.bounds import CandidateState, Survivors
 from repro.core.postprocessing import (
     VerifiedEntry,
-    _UpperBoundLedger,
     _final_entries,
-    _select_batch,
     postprocess,
 )
 from repro.datasets import SetCollection
@@ -19,6 +17,7 @@ from repro.embedding import PinnedSimilarityModel
 from repro.errors import SearchTimeout
 from repro.sim import CallableSimilarity
 from repro.sim.base import SimilarityFunction
+from tests.core.verify_oracle import _UpperBoundLedger, _select_batch
 
 
 def survivor(set_id, members, query, lower, upper):
@@ -36,7 +35,6 @@ def run_post(
     k=2,
     alpha=0.7,
     config=None,
-    em_workers=0,
     deadline=None,
     seed_theta=(),
 ):
@@ -66,7 +64,6 @@ def run_post(
         theta,
         stats,
         config or FilterConfig.koios(),
-        em_workers=em_workers,
         deadline=deadline,
     )
     return entries, stats
@@ -175,20 +172,6 @@ class TestExhaustiveVerification:
         assert entries[0].set_id == 2
 
 
-class TestParallelVerification:
-    def test_same_result_with_workers(self):
-        sets = [{"a", "b"}, {"a"}, {"b"}, {"a", "c"}]
-        sims = {("b", "c"): 0.9}
-        bounds = {i: (0.5, 2.5) for i in range(4)}
-        sequential, _ = run_post({"a", "b"}, sets, sims, bounds, k=2)
-        parallel, _ = run_post(
-            {"a", "b"}, sets, sims, bounds, k=2, em_workers=4
-        )
-        assert [e.set_id for e in sequential] == [e.set_id for e in parallel]
-        for s, p in zip(sequential, parallel):
-            assert s.score == pytest.approx(p.score)
-
-
 class _SeededDenseSim(SimilarityFunction):
     """A deterministic dense similarity over ``t<i>`` tokens.
 
@@ -242,8 +225,7 @@ def _slow_matching_inputs(num_candidates: int, side: int = 700):
     return frozenset(query), collection, sim, survivors
 
 
-def _run_slow_post(query, collection, sim, survivors, *, em_workers=0,
-                   deadline=None):
+def _run_slow_post(query, collection, sim, survivors, *, deadline=None):
     stats = SearchStats()
     stats.candidates = len(survivors)
     return postprocess(
@@ -256,7 +238,6 @@ def _run_slow_post(query, collection, sim, survivors, *, em_workers=0,
         ThetaLB(TopKList(1)),
         stats,
         FilterConfig.koios().without(use_no_em=False),
-        em_workers=em_workers,
         deadline=deadline,
     )
 
@@ -288,23 +269,6 @@ class TestDeadline:
         aborted = time.perf_counter() - started
         assert aborted < full_run / 2, (aborted, full_run)
 
-    def test_deadline_aborts_pooled_workers_promptly(self):
-        """With ``em_workers > 1`` the deadline travels into every
-        worker's bound callable: a whole in-flight batch aborts without
-        any worker finishing its matching."""
-        inputs = _slow_matching_inputs(4)
-        started = time.perf_counter()
-        _run_slow_post(*inputs, em_workers=4)
-        full_run = time.perf_counter() - started
-
-        started = time.perf_counter()
-        with pytest.raises(SearchTimeout):
-            _run_slow_post(
-                *inputs, em_workers=4, deadline=time.perf_counter() + 0.01
-            )
-        aborted = time.perf_counter() - started
-        assert aborted < full_run / 2, (aborted, full_run)
-
     def test_deadline_checked_without_early_termination(self):
         """Even with the Lemma-8 filter ablated the bound callable still
         carries the deadline (and still never prunes)."""
@@ -329,7 +293,8 @@ class TestDeadline:
 
 
 def ledger_of(bounds, k=2, lower=0.0):
-    """A ledger over ``{set id: upper bound}`` (one shared lower bound)."""
+    """An oracle ledger over ``{set id: upper bound}`` (one shared lower
+    bound)."""
     count = len(bounds)
     return _UpperBoundLedger(
         Survivors(
@@ -356,6 +321,9 @@ def walk(ledger, **switches):
 
 
 class TestUpperBoundLedger:
+    """The per-survivor walk the epoch walk is checked against
+    (``tests/core/verify_oracle.py``)."""
+
     def test_theta_ub_with_fewer_than_k_alive(self):
         ledger = ledger_of({1: 0.9}, k=2)
         assert ledger.theta_ub() == 0.0

@@ -141,12 +141,12 @@ class TestBatchedInitialLabelSums:
             np.asarray(survivor_ids, dtype=np.int64),
             index_cache_by_token(cache),
         )
-        assert set(verifier._label_sums) == set(survivor_ids)
-        for set_id in survivor_ids:
+        assert verifier._label_sums.shape == (len(survivor_ids),)
+        for row, set_id in enumerate(survivor_ids):
             weights = verifier.weights_of(set_id)
             assert weights.shape == (len(query), len(collection[set_id]))
             # Bitwise, not approx: the float decides a pruning.
-            assert verifier._label_sums[set_id] == initial_label_sum(weights)
+            assert verifier._label_sums[row] == initial_label_sum(weights)
         assert verifier._fallback == suspect_holders(
             collection, sim, sorted(query), cache, survivor_ids
         )

@@ -8,19 +8,13 @@ column-gather matrices for the sets that pass it, the same solver)
 Hungarian/pruning interplay are subtle, so the fast path is pinned to
 the reference oracle by a randomized sweep: >= 10 seeds x 2 alphas x
 the ablation grid over ``use_no_em`` / ``use_em_early_termination`` /
-``exhaustive_verification`` / ``em_workers in {0, 4}``, asserting
-bitwise-identical result entries (unresolved, i.e. raw
-``VerifiedEntry`` content), stats counters, and ``theta_lb``
-trajectories, plus a direct ``postprocess``-level comparison of
-``VerifiedEntry`` lists with and without the injected verifier.
-
-Some counters are compared only in sequential cells (``em_workers=0``):
-``em_full`` / ``em_early_terminated`` / ``em_initial_pruned`` /
-``em_label_updates`` read the
-*live* ``theta_lb`` from worker threads, so their split is
-timing-dependent by design when verifications overlap (their sum — the
-sets that entered a matching — stays deterministic and is always
-asserted). ``observed_edges`` / ``discarded_edges`` differ between
+``exhaustive_verification``, each with a fresh shared threshold and
+with one already raised to the answer's k-th score (as if another
+shard had found it first), asserting bitwise-identical result entries
+(unresolved, i.e. raw ``VerifiedEntry`` content), every stats counter,
+and ``theta_lb`` trajectories, plus a direct ``postprocess``-level
+comparison of ``VerifiedEntry`` lists with and without the injected
+verifier. ``observed_edges`` / ``discarded_edges`` differ between
 *refinement* engines by design (trajectory-based counting) and are out
 of scope here.
 
@@ -50,8 +44,8 @@ K = 10
 ALPHAS = (0.7, 0.9)
 SEEDS = range(10)
 
-#: The satellite's ablation grid: every combination of the three
-#: verification filters, each at both worker widths.
+#: The ablation grid: every combination of the three verification
+#: filters.
 GRID = [
     {
         "use_no_em": no_em,
@@ -62,13 +56,14 @@ GRID = [
         (True, False), repeat=3
     )
 ]
-EM_WORKERS = (0, 4)
+#: Where each cell's shared threshold starts: 0 is a fresh one, 1 one
+#: raised to the k-th score of the reference engine's unconstrained
+#: answer.
+HEAD_STARTS = (0, 1)
 
 #: Counters that must agree bitwise between engines. The edge counters
-#: are excluded (trajectory-based in the columnar refinement engine);
-#: the EM-split counters are excluded only in threaded cells (see
-#: module docstring) but their sum is always compared.
-SEQUENTIAL_COUNTERS = (
+#: are excluded (trajectory-based in the columnar refinement engine).
+COUNTERS = (
     "stream_tuples",
     "candidates",
     "pruned_first_sight",
@@ -82,19 +77,13 @@ SEQUENTIAL_COUNTERS = (
     "em_label_updates",
     "resolution_em",
 )
-THREADED_EXEMPT = {
-    "em_early_terminated",
-    "em_initial_pruned",
-    "em_full",
-    "em_label_updates",
-}
 
 
 class RecordingThreshold(GlobalThreshold):
     """A shared threshold that logs every published ``theta_lb``."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, initial: float = 0.0) -> None:
+        super().__init__(initial)
         self.trajectory: list[tuple[float, float]] = []
 
     def raise_to(self, candidate: float) -> float:
@@ -120,7 +109,7 @@ def sweep_queries(collection, seed):
 
 
 def counters_of(stats: SearchStats) -> dict[str, int]:
-    return {name: getattr(stats, name) for name in SEQUENTIAL_COUNTERS}
+    return {name: getattr(stats, name) for name in COUNTERS}
 
 
 def entry_tuple(entry):
@@ -135,34 +124,38 @@ def entry_tuple(entry):
 
 @pytest.fixture(scope="module")
 def engines(tiny_opendata):
-    """One warm engine per (grid cell, em_workers, engine) triple."""
+    """One warm engine per (grid cell, engine) pair."""
     built = {}
-    for cell, workers, engine in itertools.product(
-        range(len(GRID)), EM_WORKERS, ("reference", "columnar")
+    for cell, engine in itertools.product(
+        range(len(GRID)), ("reference", "columnar")
     ):
         config = FilterConfig.koios(engine=engine).without(**GRID[cell])
-        built[cell, workers, engine] = tiny_opendata.engine(
-            alpha=0.8, config=config, em_workers=workers
-        )
+        built[cell, engine] = tiny_opendata.engine(alpha=0.8, config=config)
     return built
 
 
 class TestDifferentialSweep:
-    @pytest.mark.parametrize("workers", EM_WORKERS)
+    @pytest.mark.parametrize("head_start", HEAD_STARTS)
     @pytest.mark.parametrize("cell", range(len(GRID)))
     def test_grid_cell_bitwise_across_seeds(
-        self, tiny_opendata, engines, cell, workers
+        self, tiny_opendata, engines, cell, head_start
     ):
-        reference = engines[cell, workers, "reference"]
-        columnar = engines[cell, workers, "columnar"]
+        reference = engines[cell, "reference"]
+        columnar = engines[cell, "columnar"]
         assert supports_columnar_verify(tiny_opendata.sim)
-        compared = 0
+        compared = raised = 0
         for seed in SEEDS:
             for alpha in ALPHAS:
                 for query in sweep_queries(tiny_opendata.collection, seed):
-                    context = (cell, workers, seed, alpha, sorted(query)[:3])
-                    ref_theta = RecordingThreshold()
-                    col_theta = RecordingThreshold()
+                    context = (cell, head_start, seed, alpha, sorted(query))
+                    level = 0.0
+                    if head_start:
+                        level = reference.search(
+                            query, K, alpha=alpha, resolve_scores=False
+                        ).theta_k
+                    raised += level > 0.0
+                    ref_theta = RecordingThreshold(level)
+                    col_theta = RecordingThreshold(level)
                     # resolve_scores=False keeps No-EM accepts unresolved,
                     # i.e. the entries are the raw VerifiedEntry content.
                     expected = reference.search(
@@ -186,19 +179,12 @@ class TestDifferentialSweep:
                     assert (
                         col_theta.trajectory == ref_theta.trajectory
                     ), context
-                    mine = counters_of(got.stats)
-                    theirs = counters_of(expected.stats)
                     assert (
-                        mine["em_early_terminated"] + mine["em_full"]
-                        == theirs["em_early_terminated"] + theirs["em_full"]
+                        counters_of(got.stats) == counters_of(expected.stats)
                     ), context
-                    if workers > 1:
-                        for name in THREADED_EXEMPT:
-                            mine.pop(name)
-                            theirs.pop(name)
-                    assert mine == theirs, context
                     compared += 1
         assert compared == len(SEEDS) * len(ALPHAS)
+        assert raised == (compared if head_start else 0)
 
 
 class TestPartitionedAndBudgeted:

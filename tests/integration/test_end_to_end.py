@@ -50,15 +50,6 @@ class TestAllProfilesMatchOracle:
                 paper.search(query, k=4).scores(),
             )
 
-    def test_workers_match_sequential(self, tiny_opendata):
-        sequential = tiny_opendata.engine(alpha=0.8)
-        parallel = tiny_opendata.engine(alpha=0.8, em_workers=4)
-        query = tiny_opendata.collection[3]
-        assert_same_scores(
-            parallel.search(query, k=5).scores(),
-            sequential.search(query, k=5).scores(),
-        )
-
     def test_parallel_partitions_match_sequential(self, tiny_wdc):
         from repro.core import KoiosSearchEngine
 

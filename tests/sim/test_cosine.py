@@ -124,3 +124,47 @@ class TestStoreBacked:
         # the store's vocabulary — it must still resolve via the
         # provider, not come back as None.
         assert backed._unit_vector("offvocab") is not None
+
+
+class TestTableRowsGather:
+    """``table_rows`` gathers store rows in one step and is bytes-equal
+    to stacking ``unit_rows`` token by token."""
+
+    def test_gather_equals_stacking_with_oov_and_query_only_tokens(self):
+        from repro.embedding.provider import VectorStore
+        from repro.index.interning import TokenTable
+
+        provider = SyntheticEmbeddingModel(
+            dim=16,
+            clusters={"c": ["a1", "a2", "a3"]},
+            cluster_similarity=0.9,
+            oov_tokens={"ghost"},
+        )
+        # The store holds a query-only token the table lacks; the table
+        # holds tokens the store lacks: "a3" and "late" (provider path)
+        # and the uncovered "ghost" (zero row).
+        store = VectorStore(provider, ["a1", "a2", "b", "query_only"])
+        table = TokenTable.from_vocabulary(
+            ["a1", "a2", "a3", "b", "ghost", "late"]
+        )
+        backed = CosineSimilarity(provider, store=store)
+        plain = CosineSimilarity(provider)
+        ids = np.array([5, 0, 4, 2, 3, 0, 1], dtype=np.int64)
+        tokens = [table.tokens[i] for i in ids.tolist()]
+        stacked = plain.unit_rows(tokens)
+        assert stacked.dtype == np.float32
+        assert backed.table_rows(table, ids).tobytes() == stacked.tobytes()
+        assert backed.unit_rows(tokens).tobytes() == stacked.tobytes()
+        assert plain.table_rows(table, ids).tobytes() == stacked.tobytes()
+
+        # The store owns one map pair, cached per (table, store size): a
+        # grown store refreshes both, and "late" is then gathered from
+        # its store row.
+        before = store.table_maps(table)
+        assert store.table_maps(table)[1] is before[1]
+        store.extend(["late"])
+        assert backed.table_rows(table, ids).tobytes() == stacked.tobytes()
+        late = int(table.encode(["late"])[0])
+        row_ids, rows = store.table_maps(table)
+        assert rows[late] == store.row_of("late")
+        assert row_ids[store.row_of("late")] == late
