@@ -79,16 +79,23 @@ reference stops probing once a candidate is pruned; all pruning/
 resolution counters (the ones ``consistency_ok`` audits) are exact.
 
 The columnar *drain* (:func:`fast_drain`) applies the same idea to
-stream generation: instead of the heap-merged per-tuple release of
-:class:`~repro.index.token_stream.TokenStream`, each query element's
-similarity block comes from one matrix-vector product
-(:meth:`~repro.index.vector_index.ExactCosineIndex.probe_similarities`
-— numerically the identical float32 computation), is filtered against
-``alpha`` and the collection vocabulary as arrays, and the blocks are
-merged by an exact simulation of the reference heap's push-counter
-tiebreak (NOT a plain argsort — equal similarities across query
-elements must pop in the reference's insertion order to keep the
-stream bitwise-identical).
+stream generation and costs what it emits, not what the vocabulary
+holds. :meth:`~repro.index.vector_index.ExactCosineIndex.probe_many`
+reads the embedding matrix once per drain, in row blocks, with the heap
+drain's float32 products; only rows with ``float64(sim) >= alpha``
+leave a block (a float32 compare would admit ``float32(alpha) <
+alpha``), so scratch is one block plus the hits, never ``|Q| x |V|``.
+Each element stable-sorts only its hits — ``(-sim, row)`` order — which
+is the index's batched release cut at ``alpha``: with fewer than
+``batch`` hits every hit lies above the argpartitioned batch boundary.
+An element with ``batch`` or more hits (the boundary may sit above
+``alpha``) or with tied hits (argpartition leaves ties out of row
+order) re-probes its full row and replays the release: its top batch,
+then the other hits. Self-match and out-of-vocabulary rows are cut
+after ordering, and the blocks are merged by an exact simulation of the
+reference heap's push-counter tiebreak (NOT a plain argsort — equal
+similarities across query elements must pop in the reference's
+insertion order to keep the stream bitwise-identical).
 """
 
 from __future__ import annotations
@@ -200,46 +207,36 @@ def sim_cache_from_stream(
 
 
 def _per_query_block(
-    index, q_token: str, q_id: int, alpha: float, row_ids: np.ndarray
-) -> tuple[list[int], list[float]]:
-    """One query element's descending ``(token_id, sim)`` block.
-
-    Reproduces :class:`~repro.index.vector_index.ExactCosineIndex`'s
-    released order bitwise — including the self-match-first rule and the
-    batched argpartition/argsort release (whose tie placement at the
-    batch boundary is deterministic for a given input) — but filters
-    vocabulary and ``alpha`` as array masks instead of per-tuple Python.
-    """
-    token_ids: list[int] = []
-    sims_out: list[float] = []
-    if q_id >= 0:
-        # The self-match rule of §V: a query element yields itself with
-        # similarity 1.0 when it is in the vocabulary.
-        token_ids.append(q_id)
-        sims_out.append(1.0)
-    sims = index.probe_similarities(q_token)
-    if sims is None:
-        return token_ids, sims_out
-    sims = sims.astype(np.float64)
-    size = sims.shape[0]
+    index, q_token: str, q_id: int, alpha: float, row_ids: np.ndarray,
+    found: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[int], list[float], bool]:
+    """One query element's descending ``(token_id, sim)`` block from
+    its ``found`` hits (``(rows, float64 sims)`` chunks, ascending by
+    row), and whether it re-probed its full row: the index's release
+    order bitwise (module docstring), self-match first (§V)."""
+    token_ids, sims_out = ([q_id], [1.0]) if q_id >= 0 else ([], [])
+    rows = np.concatenate([r for r, _ in found] or [np.zeros(0, np.int64)])
+    sims = np.concatenate([s for _, s in found] or [np.zeros(0)])
+    by_sim = np.argsort(-sims, kind="stable")
+    rows, sims = rows[by_sim], sims[by_sim]
     batch = index.batch_size
-    if size > batch:
-        top = np.argpartition(-sims, batch - 1)[:batch]
-        top = top[np.argsort(-sims[top], kind="stable")]
-        full = np.argsort(-sims, kind="stable")
-        in_top = np.zeros(size, dtype=bool)
-        in_top[top] = True
-        order = np.concatenate([top, full[~in_top[full]]])
-    else:
-        order = np.argsort(-sims, kind="stable")
-    ordered_sims = sims[order]
-    ordered_ids = row_ids[order]
-    keep = (ordered_sims >= alpha) & (ordered_ids >= 0)
+    full_row = len(index.store) > batch and (
+        rows.shape[0] >= batch or bool(np.any(sims[1:] == sims[:-1]))
+    )
+    if full_row:
+        full = index.probe_similarities(q_token).astype(np.float64)
+        top = np.argpartition(-full, batch - 1)[:batch]
+        top = top[np.argsort(-full[top], kind="stable")]
+        top = top[full[top] >= alpha]
+        rest = ~np.isin(rows, top)
+        rows = np.concatenate([top, rows[rest]])
+        sims = np.concatenate([full[top], sims[rest]])
+    keep = row_ids[rows] >= 0
     if q_token in index.store:
-        keep &= order != index.store.row_of(q_token)  # self-match is above
-    token_ids.extend(ordered_ids[keep].tolist())
-    sims_out.extend(ordered_sims[keep].tolist())
-    return token_ids, sims_out
+        keep &= rows != index.store.row_of(q_token)  # self-match is above
+    token_ids.extend(row_ids[rows[keep]].tolist())
+    sims_out.extend(sims[keep].tolist())
+    return token_ids, sims_out, full_row
 
 
 def fast_drain(
@@ -256,9 +253,10 @@ def fast_drain(
     drain — the same float32 similarity products, the same self-match /
     vocabulary / ``alpha`` rules, and the same merged order (the heap's
     push-counter tiebreak is simulated exactly) — but each query
-    element's block is produced by one matrix-vector product plus array
-    filtering instead of per-tuple generator machinery. The interned
-    column arrays are attached so refinement never re-encodes tuples.
+    element's block comes from row-blocked probes and a sort of its hits
+    (see the module docstring) instead of per-tuple generator machinery.
+    The interned column arrays are attached so refinement never
+    re-encodes tuples.
     """
     import heapq
 
@@ -270,17 +268,32 @@ def fast_drain(
     if table is None:
         table = TokenTable.from_vocabulary(vocabulary)
     row_ids, _ = index.store.table_maps(table)
+    # Only rows at or above alpha leave a probe block; the mask is taken
+    # in float64, as the heap drain's ``sim < alpha`` compares.
+    found: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in query]
+    for position, start, sims in index.probe_many(query):
+        wide = sims.astype(np.float64)
+        hit = np.flatnonzero(wide >= alpha)
+        if hit.size:
+            found[position].append((hit + start, wide[hit]))
     blocks = [
-        _per_query_block(index, q_token, table.id_of(q_token), alpha, row_ids)
-        for q_token in query
+        _per_query_block(
+            index, q_token, table.id_of(q_token), alpha, row_ids, hits
+        )
+        for q_token, hits in zip(query, found)
     ]
+    annotate(
+        drain_probes=len(query),
+        drain_hits=sum(r.shape[0] for hits in found for r, _ in hits),
+        drain_full_rows=sum(block[2] for block in blocks),
+    )
     # Exact replication of TokenStream's |Q|-way heap merge: entries are
     # (-sim, push_counter, q_index); the counter advances on every push,
     # so equal similarities pop in the reference's insertion order.
     heap: list[tuple[float, int, int]] = []
     counter = 0
     positions = [0] * len(query)
-    for q_index, (token_ids, sims) in enumerate(blocks):
+    for q_index, (token_ids, sims, _) in enumerate(blocks):
         if token_ids:
             heapq.heappush(heap, (-sims[0], counter, q_index))
             counter += 1
@@ -289,7 +302,7 @@ def fast_drain(
     out_s: list[float] = []
     while heap:
         neg_sim, _, q_index = heapq.heappop(heap)
-        token_ids, sims = blocks[q_index]
+        token_ids, sims, _ = blocks[q_index]
         position = positions[q_index]
         positions[q_index] = position + 1
         following = position + 1
@@ -325,7 +338,7 @@ def drain_stream(
 ) -> MaterializedTokenStream:
     """Drain dispatcher: the columnar block drain when the engine and
     index support it, the reference heap drain otherwise."""
-    if engine == ENGINE_COLUMNAR and hasattr(token_index, "probe_similarities"):
+    if engine == ENGINE_COLUMNAR and hasattr(token_index, "probe_many"):
         return fast_drain(
             query_tokens,
             token_index,

@@ -23,10 +23,9 @@ from repro.index.token_stream import (
     StreamTuple,
     TokenStream,
 )
-from repro.index.vector_index import BatchedProbeLog, ExactCosineIndex
+from repro.index.vector_index import ExactCosineIndex
 
 __all__ = [
-    "BatchedProbeLog",
     "CSRPostings",
     "ExactCosineIndex",
     "TokenTable",

@@ -2,20 +2,34 @@
 
 The paper generates the token stream with a GPU Faiss flat index probed
 in batches of 100 (§VIII-A3). An exact flat index returns vocabulary
-tokens in exactly descending cosine order; this module reproduces that
-stream with a vectorized NumPy scan. Batching is kept (similarities are
-argpartitioned lazily in blocks) so probing cost is incremental, the way
-Koios consumes it: most streams are abandoned long before exhaustion once
-similarities fall below ``alpha``.
+tokens in exactly descending cosine order, and
+:meth:`ExactCosineIndex.stream` reproduces that stream with a vectorized
+NumPy scan. It keeps the batching (the top ``batch_size`` rows are
+argpartitioned first) and is the oracle the heap drain walks. Both
+drains read their floats from :meth:`~ExactCosineIndex.probe_many`,
+which runs every query element's matrix-vector product on one
+``ROW_BLOCK``-row block before the next, so a drain reads the matrix
+from memory once. Blocking changes no float: each output row is an
+independent dot product by the same BLAS kernel while blocks start on
+its row groups and none is a single row (NumPy runs that as a dot); a
+GEMM over all probes would change them. OpenBLAS threads a
+matrix-vector product only above 7200 rows at 64 dimensions, and a
+threaded split can move rows out of their groups, so a block's floats,
+unlike a whole large store's, do not depend on the thread count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.embedding.provider import EmbeddingProvider, VectorStore, normalize
+
+#: Store rows per probe block: 512 KB at 64 float32 dimensions, which
+#: stay in L2 across the query's products; a power of two, so blocks
+#: start on the BLAS kernel's row groups.
+ROW_BLOCK = 2048
 
 
 class ExactCosineIndex:
@@ -62,19 +76,36 @@ class ExactCosineIndex:
         """
         return self._store.extend(tokens)
 
-    def probe_similarities(self, token: str) -> np.ndarray | None:
-        """Clipped cosine of ``token`` against every store row.
-
-        One float32 matrix-vector product — numerically the exact
-        computation :meth:`stream` releases tuple by tuple, exposed as a
-        block so the columnar drain can sort/filter it vectorized.
-        Returns None for probes without an embedding (their stream is
-        empty) and for an empty store.
+    def probe_many(
+        self, tokens: Sequence[str]
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Clipped cosines of ``tokens`` against the store, block-major:
+        ``(position in tokens, first row, sims)`` for every row block and
+        every token with an embedding, all tokens' products with a block
+        before the next block's. A token's blocks concatenate to
+        ``clip(matrix @ probe, 0, 1)`` bitwise.
         """
-        if len(self._store) == 0 or not self._provider.covers(token):
-            return None
-        probe = normalize(self._provider.vector(token))
-        return np.clip(self._store.matrix @ probe, 0.0, 1.0)
+        probes = [
+            (position, normalize(self._provider.vector(token)))
+            for position, token in enumerate(tokens)
+            if self._provider.covers(token)
+        ]
+        matrix = self._store.matrix
+        rows = matrix.shape[0]
+        if not rows:
+            return
+        # A one-row tail joins the block before it (module docstring).
+        edges = [0, *range(ROW_BLOCK, rows - 1, ROW_BLOCK), rows]
+        for start, stop in zip(edges, edges[1:]):
+            block = matrix[start:stop]
+            for position, probe in probes:
+                yield position, start, np.clip(block @ probe, 0.0, 1.0)
+
+    def probe_similarities(self, token: str) -> np.ndarray | None:
+        """The one-token :meth:`probe_many`: the floats :meth:`stream`
+        releases; None without an embedding or for an empty store."""
+        blocks = [sims for _, _, sims in self.probe_many([token])]
+        return np.concatenate(blocks) if blocks else None
 
     def stream(self, token: str) -> Iterator[tuple[str, float]]:
         """Yield ``(vocab_token, cosine)`` in non-increasing order.
@@ -110,17 +141,3 @@ class ExactCosineIndex:
         for row in order:
             yield self._store.token_at(int(row)), float(sims[row])
 
-
-class BatchedProbeLog:
-    """Counts index probes and streamed tuples for instrumentation."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.probes = 0
-        self.tuples_streamed = 0
-
-    def stream(self, token: str) -> Iterator[tuple[str, float]]:
-        self.probes += 1
-        for pair in self._inner.stream(token):
-            self.tuples_streamed += 1
-            yield pair

@@ -9,16 +9,25 @@ sequence exactly (order included), and the interning/CSR substrate must
 agree with the dict-backed inverted index token for token.
 """
 
+import tracemalloc
+from typing import NamedTuple
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import FilterConfig, KoiosSearchEngine
 from repro.core.fastpath import fast_drain
+from repro.embedding import HashingEmbeddingProvider, VectorStore
 from repro.index import (
+    ExactCosineIndex,
     InvertedIndex,
     MaterializedTokenStream,
     TokenTable,
     token_table_for,
 )
+from repro.index import vector_index
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
 from repro.store.snapshot import build_substrate
@@ -130,6 +139,215 @@ class TestFastDrain:
                     vocabulary=collection.vocabulary,
                 )
                 assert list(columnar) == list(reference), (alpha, len(query))
+
+
+#: Dyadic store coordinates: every similarity below is exact, so ties
+#: are common; 1.25 and -0.5 exercise the clip to [0, 1].
+GRID = (1.25, 1.0, 0.875, 0.75, 0.75, 0.625, 0.5, 0.25, 0.0, -0.5)
+#: Thresholds that float32 rounds down: a row at ``float32(alpha)`` is
+#: below ``alpha`` in float64 but not in float32.
+BELOW_FLOAT32 = (0.7, 0.9)
+AXES = 3
+STORED = [f"s{i:02d}" for i in range(12)]
+NOT_STORED = ["v0", "v1"]  # vocabulary-only candidates (no store row)
+UNKNOWN = ["x0", "x1"]     # in neither the store nor the vocabulary
+
+
+class AxisProvider:
+    """Embeds each covered token as a basis vector, so a store row's
+    similarity to it is exactly one of the row's coordinates."""
+
+    dim = AXES
+
+    def __init__(self, axes: dict[str, int]) -> None:
+        self._axes = axes
+
+    def covers(self, token: str) -> bool:
+        return token in self._axes
+
+    def vector(self, token: str) -> np.ndarray:
+        vec = np.zeros(AXES, dtype=np.float32)
+        vec[self._axes[token]] = 1.0
+        return vec
+
+
+class DrainCase(NamedTuple):
+    rows: tuple[tuple[float, ...], ...]  # one store row per STORED[i]
+    vocab_rows: frozenset[int]           # stored rows in the vocabulary
+    extra_vocab: frozenset[str]          # vocabulary tokens without a row
+    query: tuple[str, ...]
+    axes: dict[str, int]                 # covered query tokens' probe axis
+    alpha: float
+    batch: int
+    row_block: int
+
+
+@st.composite
+def drain_cases(draw) -> DrainCase:
+    n_rows = draw(st.integers(0, len(STORED)))
+    below = draw(st.booleans())
+    alpha = draw(st.sampled_from(BELOW_FLOAT32)) if below else None
+    cells = GRID + ((float(np.float32(alpha)),) * 2 if below else ())
+    rows = [
+        tuple(draw(st.sampled_from(cells)) for _ in range(AXES))
+        for _ in range(n_rows)
+    ]
+    if below and rows:
+        # At least one row sits exactly at float32(alpha).
+        row, axis = draw(st.integers(0, n_rows - 1)), draw(
+            st.integers(0, AXES - 1)
+        )
+        rows[row] = rows[row][:axis] + (
+            float(np.float32(alpha)),
+        ) + rows[row][axis + 1:]
+    if not below:
+        attained = sorted({min(v, 1.0) for row in rows for v in row if v > 0})
+        alpha = draw(st.sampled_from(attained or [1.0]))
+    pool = STORED[:n_rows] + NOT_STORED + UNKNOWN
+    query = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                          unique=True))
+    axes = {}
+    for token in query:
+        axis = draw(st.none() | st.integers(0, AXES - 1))
+        if axis is not None:
+            axes[token] = axis
+    return DrainCase(
+        rows=tuple(rows),
+        vocab_rows=frozenset(
+            draw(st.sets(st.integers(0, n_rows - 1))) if n_rows else ()
+        ),
+        extra_vocab=frozenset(draw(st.sets(st.sampled_from(NOT_STORED)))),
+        query=tuple(query),
+        axes=axes,
+        alpha=alpha,
+        batch=draw(st.sampled_from((1, 2, 3, 100))),
+        row_block=draw(st.sampled_from((1, 2, 3, 2048))),
+    )
+
+
+def assert_drains_identical(case: DrainCase) -> None:
+    tokens = STORED[:len(case.rows)]
+    provider = AxisProvider(case.axes)
+    matrix = np.array(case.rows, dtype=np.float32).reshape(-1, AXES)
+    store = VectorStore.from_state(provider, tokens, matrix)
+    index = ExactCosineIndex(store, provider, batch_size=case.batch)
+    vocabulary = frozenset(tokens[i] for i in case.vocab_rows)
+    vocabulary |= case.extra_vocab
+    table = TokenTable.from_vocabulary(vocabulary)
+    with mock.patch.object(vector_index, "ROW_BLOCK", case.row_block):
+        columnar = fast_drain(
+            case.query, index, case.alpha, vocabulary=vocabulary, table=table
+        )
+        reference = MaterializedTokenStream.drain(
+            case.query, index, case.alpha, collection_vocabulary=vocabulary
+        )
+    assert list(columnar) == list(reference)
+    assert [tuple(map(type, t)) for t in columnar] == [
+        (str, str, float)
+    ] * len(reference)
+    query_sorted = sorted(case.query)
+    for mine, expected in zip(
+        columnar.columns(table, query_sorted),
+        reference.columns(table, query_sorted),
+    ):
+        assert mine.dtype == expected.dtype
+        assert mine.tobytes() == expected.tobytes()
+
+
+class TestDrainIdentity:
+    """``fast_drain`` (probe blocks, mask before sort) against the heap
+    drain over :meth:`ExactCosineIndex.stream` (full argpartition and
+    argsort per element): same tuples, same columns, on stores where
+    exact ties are the rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=drain_cases())
+    # Self-matches (s01 in the vocabulary, its own row a hit), a stale
+    # row (s02 and s03 outside the vocabulary), an uncovered probe (x0)
+    # and a vocabulary token without a row (v0, a self-match only).
+    @example(case=DrainCase(
+        rows=((1.0, 0.5, 0.0), (0.875, 1.0, 0.0), (0.875, 0.0, 1.0),
+              (0.75, 0.75, 0.75)),
+        vocab_rows=frozenset({0, 1}), extra_vocab=frozenset({"v0"}),
+        query=("s01", "s02", "x0", "v0"), axes={"s01": 0, "s02": 0},
+        alpha=0.75, batch=2, row_block=2048,
+    ))
+    # An empty store: only self-matches stream.
+    @example(case=DrainCase(
+        rows=(), vocab_rows=frozenset(), extra_vocab=frozenset({"v0"}),
+        query=("v0", "x0"), axes={"v0": 0, "x0": 1},
+        alpha=0.5, batch=1, row_block=2048,
+    ))
+    # More hits than the batch, ties at 0.75 straddling its boundary,
+    # in one row block and in blocks of two rows.
+    @example(case=DrainCase(
+        rows=((0.75, 0.0, 0.0), (0.875, 0.0, 0.0), (0.75, 0.0, 0.0),
+              (0.5, 0.0, 0.0), (0.75, 0.0, 0.0), (0.25, 0.0, 0.0)),
+        vocab_rows=frozenset(range(6)), extra_vocab=frozenset(),
+        query=("x0",), axes={"x0": 0},
+        alpha=0.5, batch=2, row_block=2,
+    ))
+    # A row exactly at float32(alpha) < alpha must not stream.
+    @example(case=DrainCase(
+        rows=((float(np.float32(0.7)), 0.0, 0.0), (0.75, 0.0, 0.0),
+              (0.5, 0.0, 0.0), (float(np.float32(0.7)), 0.0, 0.0)),
+        vocab_rows=frozenset(range(4)), extra_vocab=frozenset(),
+        query=("x0",), axes={"x0": 0},
+        alpha=0.7, batch=1, row_block=2048,
+    ))
+    # Fewer hits than the batch, tied: argpartition releases s03 before
+    # s02, so the order must come from the full row, not from the hits.
+    @example(case=DrainCase(
+        rows=((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.75, 0.0, 0.0),
+              (0.75, 0.0, 0.0)),
+        vocab_rows=frozenset(range(4)), extra_vocab=frozenset(),
+        query=("x0",), axes={"x0": 0},
+        alpha=0.75, batch=3, row_block=2048,
+    ))
+    def test_fast_drain_equals_heap_drain(self, case):
+        assert_drains_identical(case)
+
+
+class TestDrainScratch:
+    """The drain keeps per-block hits, never a ``|Q| x |V|`` matrix."""
+
+    def test_peak_does_not_scale_with_query_times_vocabulary(self):
+        rng = np.random.default_rng(7)
+        rows = 30_000
+        tokens = [f"tok{i:05d}" for i in range(rows)]
+        matrix = rng.standard_normal((rows, 64)).astype(np.float32)
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        provider = HashingEmbeddingProvider(dim=64)
+        store = VectorStore.from_state(provider, tokens, matrix)
+        index = ExactCosineIndex(store, provider)
+        vocabulary = frozenset(tokens)
+        table = TokenTable.from_vocabulary(vocabulary)
+        store.table_maps(table)
+        small, large = tokens[:10], tokens[:200]
+        for token in large:
+            provider.vector(token)  # the provider caches its vectors
+
+        def peak(query, **kwargs):
+            tracemalloc.start()
+            try:
+                stream = fast_drain(
+                    query, index, 0.9, vocabulary=vocabulary, **kwargs
+                )
+                return tracemalloc.get_traced_memory()[1], len(stream)
+            finally:
+                tracemalloc.stop()
+
+        # Without a shared table (the drain builds one), 20x the query
+        # elements must stay within 1.5x the peak. With the engine's
+        # shared table the peak is little more than the output, so there
+        # the 190 extra elements must cost less than one float32
+        # vocabulary row between them.
+        (cold_small, n_small), (cold_large, n_large) = peak(small), peak(large)
+        assert (n_small, n_large) == (10, 200)  # self-matches only
+        assert cold_large <= 1.5 * cold_small
+        warm_small, _ = peak(small, table=table)
+        warm_large, _ = peak(large, table=table)
+        assert warm_large - warm_small < rows * 4
 
 
 class TestRestrict:
