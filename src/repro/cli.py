@@ -163,7 +163,6 @@ def _build_scheduler(args: argparse.Namespace) -> QueryScheduler:
         jaccard=args.jaccard,
         dim=args.dim,
         iub_mode=args.iub_mode,
-        engine=args.engine,
         shards=args.shards,
         parallel_shards=args.parallel_shards,
         workers=args.workers,
@@ -221,7 +220,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         sim,
         alpha=args.alpha,
         num_partitions=args.partitions,
-        config=FilterConfig.koios(iub_mode=args.iub_mode, engine=args.engine),
+        config=FilterConfig.koios(iub_mode=args.iub_mode),
         inverted_factory=getattr(collection, "delta_index", None),
     )
     result = engine.search(query, k=args.k)
@@ -365,7 +364,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         replicas=args.replicas,
         shards=args.shards,
-        config=FilterConfig.koios(iub_mode=args.iub_mode, engine=args.engine),
+        config=FilterConfig.koios(iub_mode=args.iub_mode),
         snapshot_path=snapshot_path,
         substrate=descriptor,
         bootstrap_records=bootstrap_records,
@@ -429,7 +428,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         worker_counts=worker_counts,
         start_method=args.start_method,
-        config=FilterConfig.koios(iub_mode=args.iub_mode, engine=args.engine),
+        config=FilterConfig.koios(iub_mode=args.iub_mode),
     )
     for line in format_report(results):
         print(line, file=sys.stderr)
@@ -634,14 +633,6 @@ def _add_substrate_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--iub-mode", default="paper", choices=["paper", "safe"]
-    )
-    parser.add_argument(
-        "--engine",
-        default="columnar",
-        choices=["columnar", "reference"],
-        help="search engine for refinement AND verification: the "
-        "vectorized columnar fast paths (default) or the per-candidate "
-        "reference loops (both return bitwise-identical results)",
     )
 
 

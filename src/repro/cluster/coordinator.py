@@ -64,7 +64,7 @@ import queue
 import threading
 import time
 from dataclasses import replace as dataclass_replace
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable
 
 from repro.cluster.messages import (
     OP_METRICS,
@@ -299,11 +299,6 @@ class ClusterPool:
         A :class:`~repro.cluster.faults.FaultInjector` for the chaos
         harness; None in production. The coordinator drives it at the
         top of every op and while building payloads/specs.
-    worker_configs:
-        One :class:`FilterConfig` per worker, overriding ``config``
-        worker by worker — engine A/B rollouts and the differential
-        harness's mixed-engine fleets use this; results are identical
-        whichever worker serves a partition.
     snapshot_path:
         When given, workers bootstrap by loading this snapshot instead
         of receiving the collection through the spawn pickle — the fast
@@ -344,7 +339,6 @@ class ClusterPool:
         shards: int = 1,
         shard_seed: int = 0,
         config: FilterConfig | None = None,
-        worker_configs: Sequence[FilterConfig] | None = None,
         snapshot_path: str | None = None,
         verify_snapshot: bool = True,
         substrate: dict[str, Any] | None = None,
@@ -359,10 +353,6 @@ class ClusterPool:
             raise InvalidParameterError("workers must be >= 1")
         if replicas < 1:
             raise InvalidParameterError("replicas must be >= 1")
-        if worker_configs is not None and len(worker_configs) != workers:
-            raise InvalidParameterError(
-                "worker_configs must name one FilterConfig per worker"
-            )
         if shards < 1:
             raise InvalidParameterError("shards must be >= 1")
         if not (0.0 < alpha <= 1.0):
@@ -383,9 +373,6 @@ class ClusterPool:
         self._shards = shards
         self._shard_seed = shard_seed
         self._config = config
-        self._worker_configs = (
-            None if worker_configs is None else tuple(worker_configs)
-        )
         self._substrate = substrate
         self._request_timeout = request_timeout
         self._replicas = replicas
@@ -495,16 +482,10 @@ class ClusterPool:
     # -- spec / replication internals --------------------------------------
 
     def _make_spec(self, worker_id: int, replica: int = 0) -> WorkerSpec:
-        # Per-worker configs (engine A/B rollouts, the differential
-        # harness's mixed-engine fleet) override the fleet default; the
-        # engines guarantee bitwise-identical results either way.
         # Taken under the lock: the background restarter builds specs
         # concurrently with mutations, and a torn history snapshot
         # would replay a half-applied record.
         with self._lock:
-            config = self._config
-            if self._worker_configs is not None:
-                config = self._worker_configs[worker_id]
             faults = None
             if self._fault_injector is not None:
                 faults = self._fault_injector.spawn_faults(
@@ -516,7 +497,7 @@ class ClusterPool:
                 shards=self._shards,
                 shard_seed=self._shard_seed,
                 alpha=self._alpha,
-                config=config,
+                config=self._config,
                 snapshot_path=self._snapshot_path,
                 sets=self._base_sets,
                 names=self._base_names,
@@ -753,7 +734,6 @@ class ClusterPool:
                 self._collection,
                 query_set,
                 effective_alpha,
-                engine=None if self._config is None else self._config.engine,
             )
             stream.version = self.version
             return stream
@@ -1180,9 +1160,6 @@ class ClusterPool:
         """What executes a query, for EXPLAIN reports."""
         return {
             "backend": "cluster",
-            "engine": (
-                "columnar" if self._config is None else self._config.engine
-            ),
             "workers": self._num_workers,
             "shards_per_worker": self._shards,
         }

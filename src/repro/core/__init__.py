@@ -2,9 +2,9 @@
 filter-verification search framework (refinement, post-processing,
 partitioned facade, filter configuration, and search statistics)."""
 
-from repro.core.bounds import PAPER, SAFE, CandidateState, Survivors
-from repro.core.buckets import BucketStore
+from repro.core.bounds import PAPER, SAFE, Survivors
 from repro.core.config import FilterConfig
+from repro.core.fastpath import RefinementOutput
 from repro.core.fastpath_verify import (
     ColumnarVerifier,
     supports_columnar_verify,
@@ -12,7 +12,6 @@ from repro.core.fastpath_verify import (
 from repro.core.koios import KoiosSearchEngine, ResultEntry, SearchResult
 from repro.core.many_to_one import ManyToOneSearchEngine
 from repro.core.postprocessing import VerifiedEntry, postprocess
-from repro.core.refinement import RefinementOutput, refine
 from repro.core.semantic_overlap import (
     greedy_semantic_overlap,
     matching_pairs,
@@ -27,8 +26,6 @@ from repro.core.topk import GlobalThreshold, ThetaLB, TopKList
 __all__ = [
     "PAPER",
     "SAFE",
-    "BucketStore",
-    "CandidateState",
     "ColumnarVerifier",
     "FilterConfig",
     "GlobalThreshold",
@@ -47,7 +44,6 @@ __all__ = [
     "greedy_semantic_overlap",
     "matching_pairs",
     "postprocess",
-    "refine",
     "semantic_overlap",
     "semantic_overlap_many_to_one",
     "semantic_overlap_matching",

@@ -18,20 +18,6 @@ from dataclasses import dataclass, replace
 from repro.core.bounds import PAPER, validate_iub_mode
 from repro.errors import InvalidParameterError
 
-#: Refinement engine choices: the columnar NumPy fast path (default)
-#: and the per-tuple reference implementation kept as its oracle.
-ENGINE_COLUMNAR = "columnar"
-ENGINE_REFERENCE = "reference"
-_ENGINES = (ENGINE_COLUMNAR, ENGINE_REFERENCE)
-
-
-def validate_engine(engine: str) -> str:
-    if engine not in _ENGINES:
-        raise InvalidParameterError(
-            f"engine must be one of {_ENGINES}, got {engine!r}"
-        )
-    return engine
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -59,18 +45,6 @@ class FilterConfig:
         Verify *every* candidate surviving refinement instead of
         stopping once the top-k upper bounds are settled — the
         behaviour of the paper's Baseline and Baseline+ (§VIII-A4).
-    engine:
-        ``"columnar"`` (default) runs *both* phases through the
-        vectorized fast paths: refinement via the struct-of-arrays
-        engine of :mod:`repro.core.fastpath` and verification via the
-        batched-matmul matrix builder of
-        :mod:`repro.core.fastpath_verify` (when the similarity is
-        embedding-backed). ``"reference"`` runs the per-tuple loop of
-        :mod:`repro.core.refinement` and the per-candidate matrix
-        construction of :mod:`repro.core.postprocessing`. Both apply
-        the same lemmas and return bitwise-identical results; the
-        reference engine is kept as the readable oracle the fast paths
-        are differentially tested against.
     """
 
     use_first_sight_ub: bool = True
@@ -80,18 +54,27 @@ class FilterConfig:
     vanilla_initialization: bool = True
     iub_mode: str = PAPER
     exhaustive_verification: bool = False
-    engine: str = ENGINE_COLUMNAR
 
     def __post_init__(self) -> None:
         validate_iub_mode(self.iub_mode)
-        validate_engine(self.engine)
 
     @classmethod
     def koios(
-        cls, *, iub_mode: str = PAPER, engine: str = ENGINE_COLUMNAR
+        cls, *, iub_mode: str = PAPER, engine: str = "columnar"
     ) -> "FilterConfig":
-        """The full published configuration."""
-        return cls(iub_mode=iub_mode, engine=engine)
+        """The full published configuration.
+
+        ``engine`` selects nothing: Koios has one engine, and
+        ``"columnar"`` is the only value accepted. The keyword stays
+        only because the frozen end-to-end benchmark
+        (``benchmarks/e2e/workloads.py``) still passes it; the next
+        ``[benchmark]`` change drops that argument and removes it here.
+        """
+        if engine != "columnar":
+            raise InvalidParameterError(
+                f"engine must be 'columnar', got {engine!r}"
+            )
+        return cls(iub_mode=iub_mode)
 
     @classmethod
     def baseline(cls) -> "FilterConfig":

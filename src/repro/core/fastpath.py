@@ -1,9 +1,10 @@
-"""The columnar refinement engine — Algorithm 1 as NumPy trajectories.
+"""The refinement engine — Algorithm 1 as NumPy trajectories.
 
-The reference implementation (:mod:`repro.core.refinement`) walks the
+Algorithm 1 as the paper writes it (kept verbatim as the test oracle
+``tests/core/refinement_oracle.py``, "the reference" below) walks the
 token stream tuple by tuple and, for every tuple, loops in Python over
-the probed posting list: dict lookups, ``CandidateState`` method calls,
-set membership tests. That per-edge interpreter overhead — not the
+the probed posting list: dict lookups, per-candidate method calls, set
+membership tests. That per-edge interpreter overhead — not the
 arithmetic — is what saturates a core on large repositories.
 
 The fast path splits the phase into two parts with very different
@@ -101,13 +102,13 @@ insertion order to keep the stream bitwise-identical).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.core.bounds import Survivors
-from repro.core.config import ENGINE_COLUMNAR, FilterConfig
-from repro.core.refinement import RefinementOutput
+from repro.core.config import FilterConfig
 from repro.core.stats import SearchStats
 from repro.core.topk import ThetaLB
 from repro.errors import (
@@ -138,6 +139,28 @@ BLOCK_SIZE = 512
 #: two deadline polls.
 MIN_WINDOW = 256
 MAX_WINDOW = 1 << 15
+
+
+@dataclass
+class RefinementOutput:
+    """What the refinement phase hands to post-processing.
+
+    Attributes
+    ----------
+    survivors:
+        The candidates that were not pruned: ids, final lower bounds and
+        frozen final upper bounds.
+    sim_cache:
+        ``(query_token, token) -> similarity`` for every streamed pair —
+        reused to initialize verification matrices (§VIII-A3).
+    last_similarity:
+        Similarity of the final stream tuple (1.0 for an empty stream);
+        it caps every unstreamed pair in the paper's iUB.
+    """
+
+    survivors: Survivors
+    sim_cache: dict[tuple[str, str], float]
+    last_similarity: float = 1.0
 
 
 class ColumnarPartition:
@@ -333,12 +356,12 @@ def drain_stream(
     alpha: float,
     *,
     vocabulary: AbstractSet[str],
-    engine: str = ENGINE_COLUMNAR,
     table: TokenTable | None = None,
 ) -> MaterializedTokenStream:
-    """Drain dispatcher: the columnar block drain when the engine and
-    index support it, the reference heap drain otherwise."""
-    if engine == ENGINE_COLUMNAR and hasattr(token_index, "probe_many"):
+    """Drain dispatcher: the columnar block drain when the index can
+    probe in row blocks (``probe_many``), the heap drain of
+    :meth:`MaterializedTokenStream.drain` otherwise (LSH, IVF, scan)."""
+    if hasattr(token_index, "probe_many"):
         return fast_drain(
             query_tokens,
             token_index,
@@ -370,10 +393,10 @@ def refine_columnar(
     """Run Algorithm 1 over one partition: vectorized trajectories plus
     an exact epoch replay of the pruning decisions.
 
-    Same contract — and bitwise-identical outcome — as
-    :func:`repro.core.refinement.refine`; ``partition`` and ``table``
-    replace the inverted index / collection pair (everything refinement
-    needs about candidates is in the CSR arrays).
+    Bitwise-identical outcome to the per-tuple loop of
+    ``tests/core/refinement_oracle.py``; ``partition`` and ``table``
+    stand in for its inverted index / collection pair (everything
+    refinement needs about candidates is in the CSR arrays).
     """
     if sim_cache is None:
         sim_cache = {}
@@ -395,7 +418,11 @@ def refine_columnar(
         )
     if traj is None:
         return RefinementOutput(
-            survivors=Survivors.of({}),
+            survivors=Survivors(
+                ids=np.zeros(0, np.int64),
+                lower=np.zeros(0),
+                upper=np.zeros(0),
+            ),
             sim_cache=sim_cache,
             last_similarity=last_similarity,
         )

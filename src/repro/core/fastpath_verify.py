@@ -1,7 +1,8 @@
 """The columnar verification engine — Algorithm 2 pays for what it matches.
 
-The reference post-processing loop (:mod:`repro.core.postprocessing`)
-pays three Python-heavy costs for every Hungarian run: a ``cache_view``
+Per-candidate verification (:mod:`repro.core.postprocessing`, the
+path of similarities without an embedding matrix) pays three
+Python-heavy costs for every Hungarian run: a ``cache_view``
 dict comprehension restricting the streamed similarity cache to the
 candidate, a :func:`~repro.matching.graph.build_graph` call that stacks
 per-token unit vectors and loops over the cached pairs, and the
@@ -26,10 +27,10 @@ same query rows against subsets of one vocabulary, so the engine:
    the store's matrix when the similarity has one), then applies the
    identical-token rule, the ``alpha`` threshold, and the streamed-cache
    overrides exactly as ``build_graph`` does — cached entries are the
-   same floats in both engines, which is what pins the two engines'
+   same floats on both paths, which is what pins the two paths'
    matrices bitwise (BLAS matmuls are not shape-invariant, so any
    *uncached* cell near or above ``alpha`` routes the survivors on its
-   column's posting list through the reference fallback instead — see
+   column's posting list through per-candidate verification instead — see
    :meth:`ColumnarVerifier.prepare`);
 3. computes **every survivor's initial label sum in one batched pass**:
    the block's non-zero cells are expanded along their columns' posting
@@ -41,13 +42,13 @@ same query rows against subsets of one vocabulary, so the engine:
    :func:`~repro.core.postprocessing.postprocess`, which retires the
    survivors below ``theta_lb`` with array masks; only the few that pass
    reach :meth:`ColumnarVerifier.match`, which interns their members
-   (sorted-token ids sort like the reference's string columns), gathers
+   (sorted-token ids sort like ``build_graph``'s string columns), gathers
    the columns and runs the untouched
    :func:`~repro.matching.hungarian.hungarian_matching`.
 
-The pruning *schedule* is not reimplemented here: the reference
-engine's survivors (and the drift guard's fallbacks) take the same
-walk with ``+inf`` label sums, so discards, No-EM accepts, early
+The pruning *schedule* is not reimplemented here: survivors verified
+per candidate (and the drift guard's fallbacks) take the same walk
+with ``+inf`` label sums, so discards, No-EM accepts, early
 terminations, final entries, counters and ``theta_lb`` trajectories are
 identical by construction under every ablation and deadline path —
 pinned by ``tests/core/test_verify_equivalence.py``;
@@ -72,8 +73,7 @@ def supports_columnar_verify(sim) -> bool:
     shared matrix whose row products reproduce ``sim.matrix`` — which
     :class:`~repro.sim.cosine.CosineSimilarity` advertises through
     ``unit_rows`` and ``table_rows``. Other similarities (pinned
-    callables, Jaccard, edit) keep the reference verification path even
-    under the columnar engine.
+    callables, Jaccard, edit) are verified candidate by candidate.
     """
     return hasattr(sim, "table_rows")
 
@@ -199,9 +199,9 @@ class ColumnarVerifier:
         BLAS matmul results are not guaranteed shape-invariant, so a
         cell of the batched block can differ in its last bit from the
         reference's per-candidate product. Cells the streamed cache
-        overrides are exact either way (both engines write the identical
+        overrides are exact either way (both paths write the identical
         cached float), and cells comfortably below ``alpha`` are zeroed
-        by the threshold in both engines — only *uncached* cells at or
+        by the threshold in both paths — only *uncached* cells at or
         near ``alpha`` could carry a divergent float into a matching
         (the stream contains every pair the index scored >= ``alpha``,
         so such cells exist only where the index and matrix float paths
@@ -235,7 +235,7 @@ class ColumnarVerifier:
         ).astype(np.float64)
         # Cells whose float is pinned independently of matmul shape:
         # identity-rule cells (exact 1.0) and cache-overridden cells
-        # (the identical cached float in both engines).
+        # (the identical cached float in both paths).
         pinned = np.zeros(weights.shape, dtype=bool)
         # Identical-token rule: a query token that is also a member
         # token scores 1.0 regardless of embedding coverage.

@@ -19,8 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.bounds import candidate_states_nbytes
-from repro.core.config import ENGINE_COLUMNAR, FilterConfig
+from repro.core.config import FilterConfig
 from repro.core.fastpath import (
     ColumnarPartition,
     drain_stream,
@@ -37,7 +36,6 @@ from repro.core.postprocessing import (
     index_cache_by_token,
     postprocess,
 )
-from repro.core.refinement import refine
 from repro.index.interning import token_table_for
 from repro.obs import traced_phase
 from repro.core.semantic_overlap import semantic_overlap_matching
@@ -193,16 +191,11 @@ class KoiosSearchEngine:
         # partition. Built here, at the state the indexes were built
         # at, so that :meth:`advance` carries it forward from a known
         # point (a hot swap advances engines, it does not build them).
-        self._columnar_ctx: tuple | None = None
-        if self._config.engine == ENGINE_COLUMNAR:
-            table = token_table_for(collection)
-            self._columnar_ctx = (
-                table,
-                [
-                    ColumnarPartition.build(index, table)
-                    for index in self._inverted
-                ],
-            )
+        table = token_table_for(collection)
+        self._columnar_ctx: tuple = (
+            table,
+            [ColumnarPartition.build(index, table) for index in self._inverted],
+        )
 
     @property
     def collection(self) -> SetCollection:
@@ -247,12 +240,11 @@ class KoiosSearchEngine:
         dead, born = index.advance(new_ids)
         self._num_sets += len(born) - len(dead)
         self._index_bytes = index.nbytes()
-        if self._columnar_ctx is not None:
-            old_table, (partition,) = self._columnar_ctx
-            table = token_table_for(self._collection)
-            self._columnar_ctx = (
-                table, [partition.advanced(old_table, table, dead, born)]
-            )
+        old_table, (partition,) = self._columnar_ctx
+        table = token_table_for(self._collection)
+        self._columnar_ctx = (
+            table, [partition.advanced(old_table, table, dead, born)]
+        )
         return True
 
     def drain(
@@ -273,15 +265,8 @@ class KoiosSearchEngine:
             self._token_index,
             self._check_alpha(alpha),
             vocabulary=self._collection.vocabulary,
-            engine=self._config.engine,
-            table=self._shared_table(),
+            table=token_table_for(self._collection),
         )
-
-    def _shared_table(self):
-        """The collection's shared token table (columnar engine only)."""
-        if self._config.engine != ENGINE_COLUMNAR:
-            return None
-        return token_table_for(self._collection)
 
     def _check_alpha(self, alpha: float | None) -> float:
         if alpha is None:
@@ -344,17 +329,9 @@ class KoiosSearchEngine:
             if time_budget is not None
             else None
         )
-        columnar = self._config.engine == ENGINE_COLUMNAR
         if stream is None:
             with traced_phase(stats.timer, REFINEMENT):
-                stream = drain_stream(
-                    query_set,
-                    self._token_index,
-                    alpha,
-                    vocabulary=self._collection.vocabulary,
-                    engine=self._config.engine,
-                    table=self._shared_table(),
-                )
+                stream = self.drain(query_set, alpha=alpha)
         else:
             if not stream.covers(query_set, alpha):
                 raise InvalidParameterError(
@@ -368,16 +345,12 @@ class KoiosSearchEngine:
             shared_threshold if shared_threshold is not None
             else GlobalThreshold()
         )
-        cache_by_token: dict[str, list[tuple[str, float]]] | None = None
-        if columnar:
-            # The similarity cache is a property of the drained stream,
-            # not of any partition's schedule: fill it — and group it by
-            # token for verification-matrix seeding — once per search.
-            with traced_phase(stats.timer, REFINEMENT):
-                sim_cache = sim_cache_from_stream(stream)
-                cache_by_token = index_cache_by_token(sim_cache)
-        else:
-            sim_cache = {}
+        # The similarity cache is a property of the drained stream, not
+        # of any partition's schedule: fill it — and group it by token
+        # for verification-matrix seeding — once per search.
+        with traced_phase(stats.timer, REFINEMENT):
+            sim_cache = sim_cache_from_stream(stream)
+            cache_by_token = index_cache_by_token(sim_cache)
         columnar_ctx = self._columnar_ctx
         verified: list[VerifiedEntry] = []
         timed_out = False
@@ -422,7 +395,6 @@ class KoiosSearchEngine:
             alpha,
             resolve_scores and not timed_out,
             stats,
-            sim_cache,
             cache_by_token,
         )
         return SearchResult(
@@ -446,54 +418,37 @@ class KoiosSearchEngine:
         sim_cache: dict[tuple[str, str], float],
         stats: SearchStats,
         deadline: float | None,
-        columnar_ctx: tuple | None,
-        cache_by_token: dict[str, list[tuple[str, float]]] | None,
+        columnar_ctx: tuple,
+        cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> list[VerifiedEntry]:
         """Refinement + post-processing of one partition."""
         llb = TopKList(k)
         theta = ThetaLB(llb, shared)
+        table, partitions = columnar_ctx
         with traced_phase(stats.timer, REFINEMENT):
-            if columnar_ctx is not None:
-                table, partitions = columnar_ctx
-                output = refine_columnar(
-                    query,
-                    stream,
-                    partitions[position],
-                    table,
-                    theta,
-                    stats,
-                    self._config,
-                    sim_cache=sim_cache,
-                    deadline=deadline,
-                )
-            else:
-                output = refine(
-                    query,
-                    stream,
-                    self._inverted[position],
-                    self._collection,
-                    theta,
-                    stats,
-                    self._config,
-                    sim_cache=sim_cache,
-                    deadline=deadline,
-                )
-        stats.memory.record(
-            "candidate_states", candidate_states_nbytes(output.survivors)
-        )
+            output = refine_columnar(
+                query,
+                stream,
+                partitions[position],
+                table,
+                theta,
+                stats,
+                self._config,
+                sim_cache=sim_cache,
+                deadline=deadline,
+            )
+        stats.memory.record("candidate_states", output.survivors.nbytes())
         stats.memory.record(
             "similarity_cache",
             container_bytes(output.sim_cache, _SIM_CACHE_ENTRY_BYTES),
         )
         stats.memory.record("topk_lb_list", llb.nbytes())
-        # The columnar engine covers both phases: verifications are
-        # answered from one batched matmul and one pass over the
-        # partition's posting arrays instead of per-candidate
+        # Verifications are answered from one batched matmul and one pass
+        # over the partition's posting arrays instead of per-candidate
         # cache_view/build_graph calls. Similarities without an
-        # embedding matrix keep the reference verify path.
+        # embedding matrix are verified candidate by candidate.
         verifier = None
-        if columnar_ctx is not None and supports_columnar_verify(self._sim):
-            table, partitions = columnar_ctx
+        if supports_columnar_verify(self._sim):
             verifier = ColumnarVerifier(
                 query,
                 self._collection,
@@ -528,8 +483,7 @@ class KoiosSearchEngine:
         alpha: float,
         resolve: bool,
         stats: SearchStats,
-        sim_cache: dict[tuple[str, str], float] | None = None,
-        cache_by_token: dict[str, list[tuple[str, float]]] | None = None,
+        cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> list[ResultEntry]:
         """Merge per-partition lists, optionally resolving inexact scores.
 
@@ -543,8 +497,6 @@ class KoiosSearchEngine:
         with traced_phase(stats.timer, POSTPROCESSING):
             for entry in verified:
                 if resolve and not entry.exact:
-                    if cache_by_token is None:
-                        cache_by_token = index_cache_by_token(sim_cache)
                     members = self._collection[entry.set_id]
                     result, _, _ = semantic_overlap_matching(
                         query,

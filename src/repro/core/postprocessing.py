@@ -50,8 +50,9 @@ only where it must. Four facts make that exact:
   solver entry that prunes changes neither, so the walk stays in its
   window unless ``theta.value`` moved — another shard raised it.
 * **One path for every configuration.** Survivors without a batched
-  label sum — the reference engine's, the drift guard's fallbacks —
-  carry ``+inf`` and always reach the solver.
+  label sum — every survivor when the similarity has no embedding
+  matrix, the drift guard's fallbacks — carry ``+inf`` and always reach
+  the solver.
 
 Solver entries run one at a time against the live threshold, in walk
 order, so the ``theta.offer`` calls — and with them the ``theta_lb``
@@ -67,7 +68,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.bounds import CandidateState, Survivors
+from repro.core.bounds import Survivors
 from repro.core.config import FilterConfig
 from repro.core.semantic_overlap import semantic_overlap_matching
 from repro.core.stats import SearchStats
@@ -103,7 +104,7 @@ class VerifiedEntry:
 def postprocess(
     query: frozenset[str],
     collection: SetCollection,
-    survivors: Survivors | Mapping[int, CandidateState],
+    survivors: Survivors,
     sim: SimilarityFunction,
     alpha: float,
     k: int,
@@ -121,11 +122,11 @@ def postprocess(
     Parameters
     ----------
     survivors:
-        What refinement handed over: :class:`~repro.core.bounds.Survivors`
-        arrays, or the reference loop's ``set id -> state`` map.
+        What refinement handed over: the ids, lower bounds and frozen
+        upper bounds of the candidates it did not prune.
     cache_by_token:
         The ``sim_cache`` already grouped by vocabulary token (see
-        :func:`index_cache_by_token`). The columnar engine groups the
+        :func:`index_cache_by_token`). The search facade groups the
         full stream cache once per search and shares it across
         partitions; when omitted it is derived from ``sim_cache`` here.
     deadline:
@@ -140,13 +141,12 @@ def postprocess(
         its batched pass supplies the initial label sums the walk retires
         survivors from, and it answers each solver entry from its shared
         weight block instead of per-candidate ``cache_view`` +
-        ``build_graph`` calls. The walk is the same either way, which
-        keeps the two verification engines bitwise-identical.
+        ``build_graph`` calls. The walk is the same either way, so both
+        verification paths return bitwise-identical entries.
 
     Returns the partition's (at most k) result sets in descending
     score/bound order.
     """
-    survivors = Survivors.of(survivors)
     if not len(survivors):
         return []
 

@@ -57,8 +57,9 @@ class SearchStats:
     # batched weight block, the FLOP estimate of computing it, the bytes
     # the phase scanned (the block, the batched row-maximum pass over
     # the posting arrays, the columns gathered for solver entries), and
-    # candidates routed through the reference fallback by the GEMM
-    # drift guard. All zero under the reference engine.
+    # candidates routed through per-candidate verification by the GEMM
+    # drift guard. All zero for similarities without an embedding
+    # matrix.
     verify_matmul_cells: int = 0
     verify_matmul_flops: int = 0
     verify_bytes_scanned: int = 0

@@ -20,7 +20,7 @@ The registry is built from a JSON config file::
           "name": "alpha",
           "collection": "alpha.snap",      # .json / .csv / .snap
           "wal": "alpha.wal",              # optional durability
-          "alpha": 0.8,                    # + jaccard/dim/engine/iub_mode
+          "alpha": 0.8,                    # + jaccard/dim/iub_mode
           "shards": 1, "workers": 1, "max_batch": 8,
           "cluster_workers": 2,            # optional multi-process backend
           "qps": 50, "burst": 10,          # search token bucket
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from repro.core.bounds import PAPER, SAFE
 from repro.errors import InvalidParameterError, TenantConfigError
 from repro.gateway.quota import TenantQuota
 from repro.obs.slo import SLOMonitor
@@ -57,11 +58,15 @@ from repro.service.scheduler import QueryScheduler
 #: Spec fields accepted from the config file (anything else is a loud
 #: error — silently ignored keys hide typos like "pqs" forever).
 _SPEC_KEYS = {
-    "name", "collection", "wal", "alpha", "jaccard", "dim", "engine",
-    "iub_mode", "shards", "workers", "max_batch", "qps", "burst",
+    "name", "collection", "wal", "alpha", "jaccard", "dim", "iub_mode", "shards", "workers", "max_batch", "qps", "burst",
     "mutations_per_second", "mutation_burst", "max_queue_depth",
     "max_inflight", "auth_token", "cluster_workers", "slo",
 }
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number; ``true``/``false`` are not (``True == 1``)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,6 @@ class TenantSpec:
     alpha: float = 0.8
     jaccard: bool = False
     dim: int = 64
-    engine: str = "columnar"
     iub_mode: str = "paper"
     shards: int = 1
     workers: int = 1
@@ -105,27 +109,37 @@ class TenantSpec:
             raise TenantConfigError(
                 f"tenant {self.name!r} needs a collection path"
             )
-        if self.max_queue_depth < 1:
-            raise TenantConfigError(
-                f"tenant {self.name!r}: max_queue_depth must be >= 1"
-            )
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise TenantConfigError(
-                f"tenant {self.name!r}: max_inflight must be >= 1"
-            )
-        if self.cluster_workers is not None and self.cluster_workers < 1:
-            raise TenantConfigError(
-                f"tenant {self.name!r}: cluster_workers must be >= 1"
-            )
+        if not (_is_number(self.alpha) and 0.0 < self.alpha <= 1.0):
+            self._reject("alpha", "must be a number in (0, 1]")
+        if self.iub_mode not in (PAPER, SAFE):
+            self._reject("iub_mode", f"must be {PAPER!r} or {SAFE!r}")
+        for count_field in (
+            "shards", "workers", "max_batch", "max_queue_depth",
+            "max_inflight", "cluster_workers",
+        ):
+            value = getattr(self, count_field)
+            if value is None and count_field in (
+                "max_inflight", "cluster_workers"
+            ):
+                continue
+            if not (_is_number(value) and isinstance(value, int)
+                    and value >= 1):
+                self._reject(count_field, "must be an integer >= 1")
         for rate_field in (
             "qps", "burst", "mutations_per_second", "mutation_burst"
         ):
             value = getattr(self, rate_field)
-            if value is not None and value <= 0:
-                raise TenantConfigError(
-                    f"tenant {self.name!r}: {rate_field} must be positive "
-                    f"(omit it for unlimited)"
+            if value is not None and not (_is_number(value) and value > 0):
+                self._reject(
+                    rate_field, "must be a positive number (omit it for "
+                    "unlimited)",
                 )
+
+    def _reject(self, field_name: str, rule: str) -> None:
+        value = getattr(self, field_name)
+        raise TenantConfigError(
+            f"tenant {self.name!r}: {field_name} {rule}, got {value!r}"
+        )
 
     @classmethod
     def from_obj(cls, obj: object) -> "TenantSpec":
@@ -389,7 +403,6 @@ def build_tenant(
         jaccard=spec.jaccard,
         dim=spec.dim,
         iub_mode=spec.iub_mode,
-        engine=spec.engine,
         shards=spec.shards,
         workers=spec.workers,
         max_batch=spec.max_batch,

@@ -1,9 +1,9 @@
 """Token-id interning and CSR posting views — the columnar substrate.
 
-The reference engine addresses everything by token *strings*: posting
+Algorithm 1 as written addresses everything by token *strings*: posting
 lists are ``dict[str, list[int]]``, the stream is ``(str, str, float)``
 tuples, and candidate bookkeeping hashes strings on every probe. The
-columnar fast path (:mod:`repro.core.fastpath`) replaces those hash
+columnar engine (:mod:`repro.core.fastpath`) replaces those hash
 probes with integer indexing, which requires one shared coordinate
 system: the :class:`TokenTable` interns a vocabulary to dense integer
 ids (sorted token order, so the table is reproducible from the

@@ -12,7 +12,7 @@ Two adoption paths avoid the build entirely:
   freshly built lists it never reuses);
 * :meth:`InvertedIndex.from_csr` adopts snapshot-style CSR arrays
   verbatim — the dict-of-lists view is *never* materialized unless a
-  dict consumer (reference engine, snapshot save) actually asks, which
+  dict consumer (the baselines, snapshot save) actually asks, which
   is what keeps memmap-backed cold starts allocation-free.
 """
 
@@ -146,7 +146,7 @@ class InvertedIndex:
 
     def _postings_map(self) -> dict[str, list[int]]:
         """The dict-of-lists view, materialized from the adopted CSR on
-        first dict-style access (reference engine, snapshot save)."""
+        first dict-style access (the baselines, snapshot save)."""
         if self._postings is None:
             tokens, csr = self._adopted_csr  # type: ignore[misc]
             offsets, sets = csr.offsets, csr.sets

@@ -164,9 +164,7 @@ def render_explain(report: dict) -> str:
     )
     engine = report.get("engine") or {}
     if engine:
-        header += "  engine=" + (
-            engine.get("engine") or engine.get("backend") or "?"
-        )
+        header += "  backend=" + (engine.get("backend") or "?")
     cache = report.get("cache") or {}
     if cache.get("hit"):
         header += "  [cache hit]"

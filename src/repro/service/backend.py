@@ -68,33 +68,19 @@ def materialize_stream(
     collection: SetCollection,
     query_set: frozenset[str],
     alpha: float,
-    *,
-    engine: str | None = None,
 ) -> MaterializedTokenStream:
     """Drain one replayable stream over the collection's vocabulary —
     the exact drain every backend (and every cluster worker) performs,
-    kept in one place so replicas can never drain differently.
-
-    ``engine`` selects the drain implementation
-    (:data:`~repro.core.config.ENGINE_COLUMNAR` uses the block drain
-    when the index supports it); both implementations produce
-    bitwise-identical streams, so mixed fleets stay exact.
-    """
-    from repro.core.config import ENGINE_COLUMNAR
+    kept in one place so replicas can never drain differently."""
     from repro.core.fastpath import drain_stream
     from repro.index.interning import token_table_for
 
-    effective = ENGINE_COLUMNAR if engine is None else engine
-    table = (
-        token_table_for(collection) if effective == ENGINE_COLUMNAR else None
-    )
     return drain_stream(
         query_set,
         token_index,
         alpha,
         vocabulary=collection.vocabulary,
-        engine=effective,
-        table=table,
+        table=token_table_for(collection),
     )
 
 

@@ -155,7 +155,6 @@ def build_serving_stack(
     jaccard: bool = False,
     dim: int = 64,
     iub_mode: str = "paper",
-    engine: str = "columnar",
     shards: int = 1,
     parallel_shards: bool = False,
     workers: int = 1,
@@ -198,7 +197,7 @@ def build_serving_stack(
         from repro.store.snapshot import inspect_snapshot
 
         snapshot_manifest = inspect_snapshot(snapshot_path)
-    config = FilterConfig.koios(iub_mode=iub_mode, engine=engine)
+    config = FilterConfig.koios(iub_mode=iub_mode)
     wal = None
     replayed = 0
     if cluster_workers is not None:

@@ -413,15 +413,10 @@ class EnginePool:
     def _effective_alpha(self, alpha: float | None) -> float:
         return resolve_alpha(self._alpha, alpha, self._token_index)
 
-    def _engine_kind(self) -> str | None:
-        """The configured refinement engine (drains follow it)."""
-        return None if self._config is None else self._config.engine
-
     def engine_description(self) -> dict[str, Any]:
         """What executes a query, for EXPLAIN reports."""
         return {
             "backend": "engine-pool",
-            "engine": self._engine_kind() or "columnar",
             "shards": self.num_shards,
         }
 
@@ -444,7 +439,6 @@ class EnginePool:
                     self._collection,
                     query_set,
                     effective_alpha,
-                    engine=self._engine_kind(),
                 )
                 stream.version = self.version
                 return stream
@@ -506,7 +500,6 @@ class EnginePool:
                 self._collection,
                 query_set,
                 alpha,
-                engine=self._engine_kind(),
             )
         shared = GlobalThreshold()
         # One wall-clock deadline for the whole query: each shard gets

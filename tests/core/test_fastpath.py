@@ -1,10 +1,11 @@
-"""The columnar engine's equivalence contract.
+"""The engine's equivalence contract against its oracle.
 
-``FilterConfig.engine = "columnar"`` must be *bitwise-identical* — ids,
-scores, theta_k, bounds — to ``"reference"`` on every workload: across
-both iUB modes, every filter ablation, partitioned engines, sharded
-pools, and a >= 100-op randomized mutation/query interleaving at two
-alphas. The drain fast path must reproduce the heap drain's tuple
+:class:`KoiosSearchEngine` must be *bitwise-identical* — ids, scores,
+theta_k, bounds — to :class:`~tests.core.refinement_oracle.ReferenceEngine`
+(heap drain, per-tuple refinement, per-candidate verification) on every
+workload: across both iUB modes, every filter ablation, partitioned
+engines, sharded pools, and a >= 100-op randomized mutation/query
+interleaving at two alphas. The drain fast path must reproduce the heap drain's tuple
 sequence exactly (order included), and the interning/CSR substrate must
 agree with the dict-backed inverted index token for token.
 """
@@ -32,6 +33,7 @@ from repro.service import EnginePool
 from repro.store import MutableSetCollection
 from repro.store.snapshot import build_substrate
 from repro.utils.rng import make_rng
+from tests.core.refinement_oracle import ReferenceEngine
 
 K = 10
 ALPHAS = (0.7, 0.9)
@@ -46,7 +48,8 @@ SUBSTRATE = {
     "batch_size": 100,
 }
 
-#: Every ablation the paper (and DESIGN.md) names, in both engines.
+#: Every ablation the paper (and DESIGN.md) names, in the engine and
+#: its oracle.
 ABLATIONS = {
     "koios": FilterConfig.koios(),
     "koios-safe": FilterConfig.koios(iub_mode="safe"),
@@ -75,6 +78,27 @@ def assert_bitwise_equal(got, expected, context=""):
         assert mine.lower_bound == reference.lower_bound, context
         assert mine.upper_bound == reference.upper_bound, context
         assert mine.exact == reference.exact, context
+
+
+def reference_engine(stack, **kwargs):
+    return ReferenceEngine(
+        stack.collection, stack.index, stack.sim, alpha=0.8, **kwargs
+    )
+
+
+class ReferencePool(EnginePool):
+    """An engine pool whose shard engines are the oracle."""
+
+    def _make_engine(self, set_ids):
+        return ReferenceEngine(
+            self._collection,
+            self._token_index,
+            self._sim,
+            alpha=self._alpha,
+            config=self._config,
+            set_ids=set_ids,
+            inverted_factory=self._collection.delta_index,
+        )
 
 
 def sample_queries(collection, rng, count):
@@ -392,12 +416,8 @@ class TestEngineEquivalence:
     def test_ablation_bitwise_equal(self, tiny_opendata, name):
         config = ABLATIONS[name]
         collection = tiny_opendata.collection
-        reference = tiny_opendata.engine(
-            alpha=0.8, config=config.without(engine="reference")
-        )
-        columnar = tiny_opendata.engine(
-            alpha=0.8, config=config.without(engine="columnar")
-        )
+        reference = reference_engine(tiny_opendata, config=config)
+        columnar = tiny_opendata.engine(alpha=0.8, config=config)
         rng = make_rng(SEED + 1)
         for alpha in ALPHAS:
             for query in sample_queries(collection, rng, 5):
@@ -409,16 +429,8 @@ class TestEngineEquivalence:
 
     def test_partitioned_engines_bitwise_equal(self, tiny_opendata):
         collection = tiny_opendata.collection
-        reference = tiny_opendata.engine(
-            alpha=0.8,
-            num_partitions=3,
-            config=FilterConfig.koios(engine="reference"),
-        )
-        columnar = tiny_opendata.engine(
-            alpha=0.8,
-            num_partitions=3,
-            config=FilterConfig.koios(engine="columnar"),
-        )
+        reference = reference_engine(tiny_opendata, num_partitions=3)
+        columnar = tiny_opendata.engine(alpha=0.8, num_partitions=3)
         rng = make_rng(SEED + 2)
         for query in sample_queries(collection, rng, 5):
             assert_bitwise_equal(
@@ -430,9 +442,7 @@ class TestEngineEquivalence:
     def test_all_oov_query(self, tiny_opendata):
         """An entirely out-of-vocabulary query exercises the columnar
         empty-stream path."""
-        columnar = tiny_opendata.engine(
-            alpha=0.8, config=FilterConfig.koios(engine="columnar")
-        )
+        columnar = tiny_opendata.engine(alpha=0.8)
         result = columnar.search({"totally_oov_token"}, K)
         assert result.entries == []
         assert result.stats.consistency_ok()
@@ -441,12 +451,8 @@ class TestEngineEquivalence:
         """Pruning/resolution counters are exact in the columnar engine
         (edge counters are trajectory-based and may exceed the
         reference's, which stops probing pruned candidates)."""
-        reference = tiny_opendata.engine(
-            alpha=0.8, config=FilterConfig.koios(engine="reference")
-        )
-        columnar = tiny_opendata.engine(
-            alpha=0.8, config=FilterConfig.koios(engine="columnar")
-        )
+        reference = reference_engine(tiny_opendata)
+        columnar = tiny_opendata.engine(alpha=0.8)
         query = frozenset(tiny_opendata.collection[3])
         a = reference.search(query, K).stats
         b = columnar.search(query, K).stats
@@ -510,8 +516,8 @@ class TestRandomizedPoolEquivalence:
         self, tiny_opendata
     ):
         """The satellite property test: >= 100 randomized ops through
-        two live sharded pools — one per engine — comparing every query
-        bitwise at two alphas."""
+        two live sharded pools — the engine's and the oracle's —
+        comparing every query bitwise at two alphas."""
         base = tiny_opendata.collection
         rng = make_rng(SEED)
         ops = make_ops(rng, base, OPS)
@@ -521,17 +527,14 @@ class TestRandomizedPoolEquivalence:
         }
 
         pools = {}
-        for engine in ("reference", "columnar"):
+        for engine, pool_class in (
+            ("reference", ReferencePool), ("columnar", EnginePool)
+        ):
             index, sim = build_substrate(
                 SUBSTRATE, MutableSetCollection(base).vocabulary
             )
-            pools[engine] = EnginePool(
-                MutableSetCollection(base),
-                index,
-                sim,
-                alpha=0.8,
-                shards=2,
-                config=FilterConfig.koios(engine=engine),
+            pools[engine] = pool_class(
+                MutableSetCollection(base), index, sim, alpha=0.8, shards=2
             )
         reference, columnar = pools["reference"], pools["columnar"]
 

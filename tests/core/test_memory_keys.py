@@ -4,26 +4,23 @@ the structures report themselves (no object-graph walk)."""
 import pytest
 
 from repro.core import FilterConfig, KoiosSearchEngine
-from repro.core.bounds import (
-    PAPER,
-    SAFE,
-    CandidateState,
-    candidate_states_nbytes,
-)
+from repro.core.bounds import PAPER, SAFE
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel
 from repro.sim import CallableSimilarity
+from tests.core.refinement_oracle import CandidateState, states_nbytes
 from tests.helpers import ScanTokenIndex
 
-REFERENCE_KEYS = {
+KEYS = {
     "inverted_index",
     "token_stream",
     "candidate_states",
     "similarity_cache",
     "topk_lb_list",
     "postproc_upper_bounds",
+    "columnar_state",
+    "verify_weight_block",
 }
-COLUMNAR_KEYS = REFERENCE_KEYS | {"columnar_state", "verify_weight_block"}
 
 
 def _query(stack):
@@ -31,19 +28,13 @@ def _query(stack):
 
 
 @pytest.mark.parametrize("iub_mode", [PAPER, SAFE])
-@pytest.mark.parametrize(
-    "engine,keys",
-    [("columnar", COLUMNAR_KEYS), ("reference", REFERENCE_KEYS)],
-)
-def test_search_reports_the_documented_keys(
-    tiny_opendata, engine, keys, iub_mode
-):
-    config = FilterConfig.koios(iub_mode=iub_mode, engine=engine)
+def test_search_reports_the_documented_keys(tiny_opendata, iub_mode):
+    config = FilterConfig.koios(iub_mode=iub_mode)
     result = tiny_opendata.engine(config=config).search(
         _query(tiny_opendata), k=3
     )
     breakdown = result.stats.memory.breakdown()
-    assert set(breakdown) == keys
+    assert set(breakdown) == KEYS
     for name, size in breakdown.items():
         assert isinstance(size, int) and size > 0, name
     assert result.stats.memory.total_bytes == sum(breakdown.values())
@@ -79,7 +70,7 @@ def test_columnar_state_scales_with_candidates_not_set_ids(iub_mode):
     ]
     sims = {("apple", "cherry"): 0.9, ("kiwi", "grape"): 0.85}
     query = {"apple", "pear", "kiwi", "plum", "cherry", "fig", "lime"}
-    config = FilterConfig.koios(iub_mode=iub_mode, engine="columnar")
+    config = FilterConfig.koios(iub_mode=iub_mode)
 
     def columnar_state(unreached):
         sets = related + [{f"u{i}a", f"u{i}b"} for i in range(unreached)]
@@ -106,4 +97,4 @@ def test_state_estimate_counts_safe_mode_caps():
     assert capped.nbytes() > plain.nbytes() > 0
     few = {i: CandidateState(i, 4, 4) for i in range(2)}
     many = {i: CandidateState(i, 4, 4) for i in range(20)}
-    assert candidate_states_nbytes(many) > candidate_states_nbytes(few)
+    assert states_nbytes(many) > states_nbytes(few)

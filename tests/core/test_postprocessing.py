@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FilterConfig, SearchStats, ThetaLB, TopKList
-from repro.core.bounds import CandidateState, Survivors
+from repro.core.bounds import Survivors
 from repro.core.postprocessing import (
     VerifiedEntry,
     _final_entries,
@@ -20,11 +20,13 @@ from repro.sim.base import SimilarityFunction
 from tests.core.verify_oracle import _UpperBoundLedger, _select_batch
 
 
-def survivor(set_id, members, query, lower, upper):
-    state = CandidateState.first_sight(set_id, frozenset(members), query)
-    state.matched_score = lower
-    state.final_upper = upper
-    return state
+def survivor_arrays(bounds):
+    """Survivors from ``bounds``, a map set_id -> (lower, upper)."""
+    return Survivors(
+        ids=np.array(list(bounds), dtype=np.int64),
+        lower=np.array([lo for lo, _ in bounds.values()], dtype=np.float64),
+        upper=np.array([up for _, up in bounds.values()], dtype=np.float64),
+    )
 
 
 def run_post(
@@ -42,10 +44,7 @@ def run_post(
     collection = SetCollection(sets)
     sim = CallableSimilarity(PinnedSimilarityModel(sims))
     query = frozenset(query)
-    survivors = {
-        set_id: survivor(set_id, collection[set_id], query, lo, up)
-        for set_id, (lo, up) in bounds.items()
-    }
+    survivors = survivor_arrays(bounds)
     llb = TopKList(k)
     theta = ThetaLB(llb)
     for set_id, (lo, _) in bounds.items():
@@ -216,12 +215,9 @@ def _slow_matching_inputs(num_candidates: int, side: int = 700):
     ]
     sim = _SeededDenseSim(universe + 1)
     collection = SetCollection(sets)
-    survivors = {
-        set_id: survivor(
-            set_id, collection[set_id], frozenset(query), 0.0, float(side)
-        )
-        for set_id in range(num_candidates)
-    }
+    survivors = survivor_arrays(
+        {set_id: (0.0, float(side)) for set_id in range(num_candidates)}
+    )
     return frozenset(query), collection, sim, survivors
 
 
@@ -231,7 +227,7 @@ def _run_slow_post(query, collection, sim, survivors, *, deadline=None):
     return postprocess(
         query,
         collection,
-        dict(survivors),
+        survivors,
         sim,
         0.7,
         1,
@@ -279,7 +275,7 @@ class TestDeadline:
             postprocess(
                 query,
                 collection,
-                dict(survivors),
+                survivors,
                 sim,
                 0.7,
                 1,

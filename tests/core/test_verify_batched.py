@@ -202,7 +202,7 @@ def engine_over(collection, provider, **kwargs):
         ExactCosineIndex(store, provider),
         CosineSimilarity(provider),
         alpha=0.75,
-        config=FilterConfig.koios(engine="columnar"),
+        config=FilterConfig.koios(),
         **kwargs,
     )
 

@@ -1,12 +1,15 @@
-"""The verification engines' differential-testing harness.
+"""The engine's differential-testing harness against its oracles.
 
-Algorithm 2 has two implementations: the reference per-candidate loop
-(``cache_view`` + ``build_graph`` + solver) and the columnar fast path
-(one batched matmul and one batched Lemma-8 initial check per phase,
-column-gather matrices for the sets that pass it, the same solver)
-— see :mod:`repro.core.fastpath_verify`. Exactness bugs in the
-Hungarian/pruning interplay are subtle, so the fast path is pinned to
-the reference oracle by a randomized sweep: >= 10 seeds x 2 alphas x
+Algorithm 2 verifies a survivor in one of two ways: per candidate
+(``cache_view`` + ``build_graph`` + solver), the only way for
+similarities without an embedding matrix, or through the columnar fast
+path (one batched matmul and one batched Lemma-8 initial check per
+phase, column-gather matrices for the sets that pass it, the same
+solver) — see :mod:`repro.core.fastpath_verify`. Exactness bugs in the
+Hungarian/pruning interplay are subtle, so the engine is pinned to
+:class:`~tests.core.refinement_oracle.ReferenceEngine` — heap drain,
+per-tuple refinement, per-candidate verification — by a randomized
+sweep: >= 10 seeds x 2 alphas x
 the ablation grid over ``use_no_em`` / ``use_em_early_termination`` /
 ``exhaustive_verification``, each with a fresh shared threshold and
 with one already raised to the answer's k-th score (as if another
@@ -14,12 +17,11 @@ shard had found it first), asserting bitwise-identical result entries
 (unresolved, i.e. raw ``VerifiedEntry`` content), every stats counter,
 and ``theta_lb`` trajectories, plus a direct ``postprocess``-level
 comparison of ``VerifiedEntry`` lists with and without the injected
-verifier. ``observed_edges`` / ``discarded_edges`` differ between
-*refinement* engines by design (trajectory-based counting) and are out
-of scope here.
+verifier. ``observed_edges`` / ``discarded_edges`` differ from the
+oracle by design (trajectory-based counting) and are out of scope here.
 
-The cluster leg of the harness — a fleet mixing verification engines
-across workers against a single-engine pool — lives in
+The cluster leg of the harness — a worker fleet against an in-process
+pool and brute force — lives in
 ``tests/cluster/test_engine_equivalence.py`` next to the cluster
 fixtures.
 """
@@ -36,9 +38,9 @@ from repro.core.fastpath_verify import (
     supports_columnar_verify,
 )
 from repro.core.postprocessing import postprocess
-from repro.core.refinement import refine
 from repro.index import InvertedIndex, token_table_for
 from repro.utils.rng import make_rng
+from tests.core.refinement_oracle import ENGINES, refine, survivors_of
 
 K = 10
 ALPHAS = (0.7, 0.9)
@@ -61,8 +63,8 @@ GRID = [
 #: answer.
 HEAD_STARTS = (0, 1)
 
-#: Counters that must agree bitwise between engines. The edge counters
-#: are excluded (trajectory-based in the columnar refinement engine).
+#: Counters that must agree bitwise with the oracle. The edge counters
+#: are excluded (trajectory-based in the refinement engine).
 COUNTERS = (
     "stream_tuples",
     "candidates",
@@ -122,6 +124,14 @@ def entry_tuple(entry):
     )
 
 
+def build(stack, engine, **kwargs):
+    """The engine (``"columnar"``) or its oracle (``"reference"``) over
+    ``stack``'s substrate, at alpha 0.8."""
+    return ENGINES[engine](
+        stack.collection, stack.index, stack.sim, alpha=0.8, **kwargs
+    )
+
+
 @pytest.fixture(scope="module")
 def engines(tiny_opendata):
     """One warm engine per (grid cell, engine) pair."""
@@ -129,8 +139,10 @@ def engines(tiny_opendata):
     for cell, engine in itertools.product(
         range(len(GRID)), ("reference", "columnar")
     ):
-        config = FilterConfig.koios(engine=engine).without(**GRID[cell])
-        built[cell, engine] = tiny_opendata.engine(alpha=0.8, config=config)
+        built[cell, engine] = build(
+            tiny_opendata, engine,
+            config=FilterConfig.koios().without(**GRID[cell]),
+        )
     return built
 
 
@@ -193,11 +205,7 @@ class TestPartitionedAndBudgeted:
         run one after another against one shared ``theta_lb``, so later
         partitions verify against a threshold earlier ones raised."""
         engines = {
-            engine: tiny_opendata.engine(
-                alpha=0.8,
-                num_partitions=3,
-                config=FilterConfig.koios(engine=engine),
-            )
+            engine: build(tiny_opendata, engine, num_partitions=3)
             for engine in ("reference", "columnar")
         }
         assert engines["columnar"].num_partitions == 3
@@ -235,12 +243,12 @@ class TestPartitionedAndBudgeted:
         """A ``time_budget`` that runs out among the matchings: the
         search still answers ``timed_out`` with what it had verified,
         and promptly — not after finishing the phase."""
-        config = FilterConfig.koios(engine=engine).without(
+        config = FilterConfig.koios().without(
             use_no_em=False,
             use_em_early_termination=False,
             exhaustive_verification=True,
         )
-        built = tiny_opendata.engine(alpha=0.8, config=config)
+        built = build(tiny_opendata, engine, config=config)
         query = frozenset(tiny_opendata.collection[3])
         built.search(query, K, alpha=0.7)  # warm
         started = time.perf_counter()
@@ -297,7 +305,7 @@ class TestPostprocessLevelDifferential:
                 entries = postprocess(
                     query,
                     collection,
-                    output.survivors,
+                    survivors_of(output.survivors),
                     tiny_opendata.sim,
                     alpha,
                     K,
@@ -352,7 +360,7 @@ class TestPostprocessLevelDifferential:
             entries = postprocess(
                 query,
                 collection,
-                output.survivors,
+                survivors_of(output.survivors),
                 tiny_opendata.sim,
                 alpha,
                 K,

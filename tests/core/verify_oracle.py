@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.bounds import CandidateState, Survivors
+from repro.core.bounds import Survivors
 from repro.core.config import FilterConfig
 from repro.core.postprocessing import (
     VerifiedEntry,
@@ -96,7 +96,7 @@ class _UpperBoundLedger:
 def postprocess(
     query: frozenset[str],
     collection: SetCollection,
-    survivors: Survivors | Mapping[int, CandidateState],
+    survivors: Survivors,
     sim: SimilarityFunction,
     alpha: float,
     k: int,
@@ -110,7 +110,6 @@ def postprocess(
     verifier=None,
 ) -> list[VerifiedEntry]:
     """Run Algorithm 2 one survivor at a time (the production signature)."""
-    survivors = Survivors.of(survivors)
     if not len(survivors):
         return []
 

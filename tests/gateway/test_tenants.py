@@ -70,6 +70,33 @@ class TestTenantSpec:
         with pytest.raises(TenantConfigError, match="max_inflight"):
             TenantSpec(name="a", collection="a.json", max_inflight=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("alpha", 2.0),
+            ("alpha", 0),
+            ("shards", 0),
+            ("workers", 0),
+            ("max_batch", 0),
+            ("max_batch", 2.5),
+            ("iub_mode", "bogus"),
+            ("qps", True),
+            ("engine", "bogus"),
+            ("engine", "columnar"),
+        ],
+    )
+    def test_unservable_values_rejected_naming_tenant(self, field, value):
+        """Values no stack can serve fail when the config loads, with an
+        error naming the tenant and the field — not later inside stack
+        construction, and not served as something else (``true`` as
+        1 qps)."""
+        with pytest.raises(TenantConfigError, match=field) as excinfo:
+            TenantSpec.from_obj(
+                {"name": "acme", "collection": "a.json", field: value}
+            )
+        if field != "engine":  # an unknown key: named, not the tenant
+            assert "'acme'" in str(excinfo.value)
+
     def test_non_object_tenant_entry(self):
         with pytest.raises(TenantConfigError, match="JSON object"):
             TenantSpec.from_obj(["name", "a"])

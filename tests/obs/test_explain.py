@@ -53,7 +53,7 @@ class TestBuildExplain:
             k=10,
             alpha=0.8,
             seconds=0.25,
-            engine={"backend": "engine-pool", "engine": "columnar"},
+            engine={"backend": "engine-pool"},
         )
         assert report["violations"] == []
         assert report["partitions_consistent"] is True
@@ -166,9 +166,11 @@ class TestRenderExplain:
             trace_id="t-1",
             k=10,
             alpha=0.8,
+            engine={"backend": "engine-pool", "shards": 2},
         )
         text = render_explain(report)
         assert "request q1" in text
+        assert "backend=engine-pool" in text.splitlines()[0]
         assert "trace t-1" in text
         assert "merged" in text and "p0" in text and "p1" in text
         for key in FUNNEL_ROWS:

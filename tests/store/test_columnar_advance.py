@@ -258,7 +258,7 @@ class TestPoolAdvances:
             loaded.sim,
             alpha=0.7,
             shards=2,
-            config=FilterConfig.koios(engine="columnar"),
+            config=FilterConfig.koios(),
         )
         yield loaded, overlay, pool
         pool.shutdown()
@@ -298,7 +298,7 @@ class TestPoolAdvances:
                 loaded.sim,
                 alpha=0.7,
                 shards=2,
-                config=FilterConfig.koios(engine="columnar"),
+                config=FilterConfig.koios(),
             )
             assert self.contexts(pool) == self.contexts(fresh)
             query = frozenset({"a", "b", "h"})

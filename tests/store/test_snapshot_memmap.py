@@ -148,7 +148,7 @@ class TestBitwiseEquivalence:
                     loaded.sim,
                     alpha=0.7,
                     num_partitions=partitions,
-                    config=FilterConfig.koios(engine="columnar"),
+                    config=FilterConfig.koios(),
                     inverted_factory=loaded.inverted_factory(),
                 )
             )
@@ -475,7 +475,6 @@ class TestClusterVerifyOnce:
         pool = ClusterPool.__new__(ClusterPool)
         pool._lock = threading.Lock()
         pool._config = None
-        pool._worker_configs = None
         pool._fault_injector = None
         pool._num_workers = 2
         pool._shards = 1

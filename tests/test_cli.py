@@ -106,6 +106,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["generate", "--profile", "bogus", "--output", "x.json"])
 
+    @pytest.mark.parametrize(
+        "command", [["search"], ["serve"], ["cluster", "serve"]]
+    )
+    def test_engine_flag_is_gone(self, collection_path, command, capsys):
+        """One engine: the old ``--engine`` choice is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, collection_path, "--engine", "columnar"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
