@@ -381,6 +381,9 @@ class ClusterPool:
         self._lock = threading.RLock()
         self._closed = False
         self._history: list[dict[str, Any]] = []
+        #: The coordinator's version after each history record: a
+        #: replace (delete + insert) moves it by two, not one.
+        self._history_versions: list[int] = []
         self._queries = 0
         self._mutations = 0
         self._failovers = 0
@@ -568,6 +571,7 @@ class ClusterPool:
             record.get("op"), record.get("name"), record.get("tokens")
         )
         self._history.append(replicated)
+        self._history_versions.append(self._live_version())
 
     def _live_version(self) -> int:
         return getattr(self._collection, "version", 0)
@@ -645,9 +649,10 @@ class ClusterPool:
             # The handle was out of rotation (restarting=True), so
             # broadcasts skipped it; feed the history delta under the
             # lock — no new mutation can interleave with the catch-up.
-            version = spec_version
-            for record in self._history[len(spec.history):]:
-                version += 1
+            start = len(spec.history)
+            for record, version in zip(
+                self._history[start:], self._history_versions[start:]
+            ):
                 if not handle.send(
                     OP_MUTATE, {"record": record, "version": version}
                 ):
@@ -1031,6 +1036,7 @@ class ClusterPool:
         self._history.append(record)
         self._mutations += 1
         expected = self._live_version()
+        self._history_versions.append(expected)
         payload = {"record": record, "version": expected}
         pending: list[tuple[PartitionGroup, _WorkerHandle]] = []
         failed: list[tuple[PartitionGroup, _WorkerHandle]] = []

@@ -10,7 +10,11 @@ index. Because the plan derives from :func:`~repro.utils.rng.make_rng`
 and every firing is synchronous (a kill SIGKILLs *and joins* the
 victim before the op proceeds), two runs of the same seed produce the
 same fault timeline — which is what lets the chaos harness assert
-bitwise-identical results rather than merely "no crash".
+bitwise-identical results rather than merely "no crash". A driver
+calls :meth:`FaultInjector.settle` between ops (:func:`run_chaos`
+does): a kill or drop due on a slot the background restarter still
+holds waits for it, so whether it hits a live process does not depend
+on how fast the machine bootstraps a worker.
 
 Fault kinds
 -----------
@@ -188,6 +192,29 @@ class FaultInjector:
             event = self._pending.pop(0)
             self._fire(pool, event)
             self.fired.append(event)
+
+    def settle(self, pool: "ClusterPool", timeout: float) -> None:
+        """Wait, up to ``timeout`` seconds, until no kill or drop due at
+        the next op targets a slot the background restarter holds.
+
+        Called between ops, outside the coordinator lock (the restarter
+        needs it to finish). A fault fired on a slot mid-restart
+        dissolves, so without this the timeline would depend on the
+        machine's speed, not only on the seed.
+        """
+        deadline = time.monotonic() + timeout
+        for event in self._pending:
+            if event.at_op > self._op:
+                break
+            if event.kind not in (KILL, DROP):
+                continue
+            handle = pool.replica_handle(event.partition, event.replica)
+            while (
+                handle is not None
+                and handle.restarting
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
 
     def payload_faults(
         self, partition: int, replica: int
@@ -371,6 +398,7 @@ def run_chaos(
             fault_injector=injector,
         ) as cluster:
             for position, op in enumerate(workload):
+                injector.settle(cluster, request_timeout)
                 watch_started = time.monotonic()
                 kind = op[0]
                 try:
@@ -415,6 +443,12 @@ def run_chaos(
                 max_seconds = max(max_seconds, elapsed)
                 if elapsed > hang_budget:
                     hung += 1
+            # Victims still re-bootstrapping count once they are back.
+            deadline = time.monotonic() + request_timeout
+            while time.monotonic() < deadline and any(
+                slot["restarting"] for slot in cluster.liveness()
+            ):
+                time.sleep(0.01)
             fleet = cluster.cluster_metrics().rollup()
     finally:
         baseline.shutdown()

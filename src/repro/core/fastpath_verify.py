@@ -43,8 +43,9 @@ same query rows against subsets of one vocabulary, so the engine:
    survivors below ``theta_lb`` with array masks; only the few that pass
    reach :meth:`ColumnarVerifier.match`, which interns their members
    (sorted-token ids sort like ``build_graph``'s string columns), gathers
-   the columns and runs the untouched
-   :func:`~repro.matching.hungarian.hungarian_matching`.
+   the columns and runs
+   :func:`~repro.matching.hungarian.hungarian_matching`, the solver the
+   per-candidate path runs too.
 
 The pruning *schedule* is not reimplemented here: survivors verified
 per candidate (and the drift guard's fallbacks) take the same walk
@@ -156,6 +157,9 @@ class ColumnarVerifier:
         self.matmul_cells = 0
         self.matmul_flops = 0
         self._pass_bytes = 0
+        # Roots that grew an alternating tree, over this search's
+        # matchings (``MatchingResult.tree_roots``).
+        self.tree_roots = 0
 
     # -- phase setup -------------------------------------------------------
 
@@ -321,6 +325,7 @@ class ColumnarVerifier:
             verify_matmul_cells=int(weights.size),
             verify_candidates=int(survivor_ids.size) - len(self._fallback),
             verify_fallbacks=len(self._fallback),
+            verify_tree_roots=0,
         )
         return label_sums
 
@@ -359,8 +364,14 @@ class ColumnarVerifier:
         threshold once, exactly as the reference path does.
         """
         if set_id in self._fallback:
-            return self._match_fallback(set_id, bound)
-        return hungarian_matching(self.weights_of(set_id), bound=bound)
+            result = self._match_fallback(set_id, bound)
+        else:
+            result = hungarian_matching(self.weights_of(set_id), bound=bound)
+        # Tracing hook (observation only): how often a matching falls
+        # through the solver's initial-labeling shortcut.
+        self.tree_roots += result.tree_roots
+        annotate(verify_tree_roots=self.tree_roots)
+        return result
 
     def _match_fallback(
         self, set_id: int, bound: Callable[[], float | None] | None

@@ -16,6 +16,36 @@ sum drops below the current pruning threshold ``theta_lb`` — that is the
 EM-Early-Terminated filter. The threshold is read through a callable so a
 global, concurrently-improving ``theta_lb`` (shared across partitions and
 verification threads) is supported.
+
+Roots the initial labeling decides
+----------------------------------
+The solver starts from the row-maxima labeling (``l(q) = max_c w(q,
+c)``, ``l(c) = 0``) and serves the rows in index order. While no
+labeling update has happened, a root whose tree would end after one
+step takes its column directly, without the tree's array setup:
+
+* a row with a non-zero maximum takes its lowest tight column
+  (``l(q) + l(c) - w(q, c) <= eps``) when that column is free. With
+  every column label still 0, the tree's first candidate for the root
+  is exactly that column; it is free, so its parent is the root and the
+  augmenting path is that one edge;
+* an all-zero row (a zero row of ``weights`` or a padding row) takes
+  the lowest free column. Its slack is 0 in every column, so the tree
+  visits columns in index order. A matched column adds its row ``r'``
+  to the tree, whose slack ``max_c w(r', c) - w(r', c)`` is ``>= 0``
+  (finite weights: a rounded difference of ``a >= b`` is ``>= 0``) and
+  hence never below the root's 0: every column keeps the root as its
+  slack parent. The path is root -> first free column, and no other
+  row's pair moves.
+
+Any other root grows the tree as usual; later roots take the shortcut
+again as long as no labeling update has happened, since the labels and
+therefore each row's lowest tight column are unchanged until then. The
+free columns are kept in step with every augmentation (each one matches
+exactly the column its path ends at). Every run therefore returns the
+``score``, ``pairs``, ``pruned``, ``label_sum`` and ``label_updates``
+of the tree-only loop bit for bit — pinned against that loop, kept
+under ``tests/matching/hungarian_oracle.py``.
 """
 
 from __future__ import annotations
@@ -50,6 +80,9 @@ class MatchingResult:
     label_updates:
         Number of labeling improvements performed (used to measure how
         early terminations save work).
+    tree_roots:
+        Number of roots that grew an alternating tree; the others were
+        decided by the initial labeling (see the module docstring).
     """
 
     score: float
@@ -57,6 +90,7 @@ class MatchingResult:
     pruned: bool = False
     label_sum: float = 0.0
     label_updates: int = 0
+    tree_roots: int = 0
 
 
 def initial_label_sum(weights: np.ndarray) -> float:
@@ -89,10 +123,10 @@ def hungarian_matching(
     Parameters
     ----------
     weights:
-        Non-negative dense weight matrix; zero entries are non-edges.
-        Because all weights are >= 0, a maximum-weight perfect matching
-        on the zero-padded square matrix restricted to positive-weight
-        edges is a maximum-weight optional matching.
+        Finite, non-negative dense weight matrix; zero entries are
+        non-edges. Because all weights are >= 0, a maximum-weight
+        perfect matching on the zero-padded square matrix restricted to
+        positive-weight edges is a maximum-weight optional matching.
     bound:
         The EM-early-termination threshold ``theta_lb`` — a float or a
         zero-argument callable re-read after every labeling update. When
@@ -103,6 +137,8 @@ def hungarian_matching(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise MatchingError("weights must be a 2-d matrix")
+    if not np.isfinite(weights).all():
+        raise MatchingError("weights must be finite")
     if weights.size and float(weights.min()) < 0.0:
         raise MatchingError("weights must be non-negative")
 
@@ -132,11 +168,30 @@ def hungarian_matching(
 
     match_of_row = np.full(size, -1, dtype=np.int64)
     match_of_col = np.full(size, -1, dtype=np.int64)
+    # The roots the initial labeling decides (see the module docstring):
+    # each row's lowest tight column, the all-zero rows, and the free
+    # columns in index order, kept in step with every augmentation.
+    first_tight = (
+        ((labels_row[:, None] + labels_col) - padded <= _EPS)
+        .argmax(axis=1)
+        .tolist()
+    )
+    zero_row = (labels_row == 0.0).tolist()
+    free = list(range(size))
+    tree_roots = 0
 
     for root in range(size):
         if match_of_row[root] != -1:
             continue
+        if label_updates == 0:
+            col = free[0] if zero_row[root] else first_tight[root]
+            if match_of_col[col] == -1:
+                free.remove(col)
+                match_of_col[col] = root
+                match_of_row[root] = col
+                continue
         # Grow an alternating tree from `root` in the equality subgraph.
+        tree_roots += 1
         in_tree_row = np.zeros(size, dtype=bool)
         in_tree_col = np.zeros(size, dtype=bool)
         in_tree_row[root] = True
@@ -163,12 +218,14 @@ def hungarian_matching(
                         pruned=True,
                         label_sum=label_sum,
                         label_updates=label_updates,
+                        tree_roots=tree_roots,
                     )
                 candidates = np.where(~in_tree_col & (slack <= _EPS))[0]
             col = int(candidates[0])
             parent_col[col] = slack_row[col]
             if match_of_col[col] == -1:
                 # Augment along the alternating path ending at `col`.
+                free.remove(col)
                 while col != -1:
                     row = int(parent_col[col])
                     previous_col = int(match_of_row[row])
@@ -198,6 +255,7 @@ def hungarian_matching(
         pruned=False,
         label_sum=label_sum,
         label_updates=label_updates,
+        tree_roots=tree_roots,
     )
 
 

@@ -43,6 +43,9 @@ class CosineSimilarity(SimilarityFunction):
         # instead of per call (every OOV entry reuses the same buffer —
         # it is only ever read).
         self._zero = np.zeros(provider.dim, dtype=np.float32)
+        # Store-less table_rows(): (table, rows, filled) — unit rows of
+        # one token table by id, filled on first use.
+        self._table_rows: tuple | None = None
 
     @property
     def provider(self) -> EmbeddingProvider:
@@ -90,11 +93,27 @@ class CosineSimilarity(SimilarityFunction):
         """:meth:`unit_rows` of the ``table`` tokens ``token_ids``, bitwise:
         with a backing store, one gather from its matrix through its
         table id -> row map (``VectorStore.table_maps``); tokens outside
-        the store take the provider / zero-row path."""
+        the store take the provider / zero-row path. Without a store,
+        one gather from this similarity's own rows of ``table``, stacked
+        the first time an id is asked for and kept for that table
+        object (held, so a collected table's reused ``id()`` cannot
+        hit; a new table starts over)."""
         tokens = table.tokens
         store = self._store
         if store is None or not len(store):
-            return self.unit_rows([tokens[i] for i in token_ids.tolist()])
+            cached = self._table_rows
+            if cached is None or cached[0] is not table:
+                cached = self._table_rows = (
+                    table,
+                    np.zeros((len(table), self._zero.shape[0]), np.float32),
+                    np.zeros(len(table), dtype=bool),
+                )
+            _, unit, filled = cached
+            fresh = token_ids[~filled[token_ids]]
+            if fresh.size:
+                unit[fresh] = self.unit_rows([tokens[i] for i in fresh.tolist()])
+                filled[fresh] = True
+            return unit[token_ids]
         rows = store.table_maps(table)[1][token_ids]
         out = store.matrix[np.maximum(rows, 0)]
         missing = np.flatnonzero(rows < 0)

@@ -247,3 +247,54 @@ def test_liveness_observes_a_down_replica_without_repairing(
         assert result.degraded is False  # revived within the deadline
         assert alive_map()[(1, 0)] is True
         assert cluster.total_restarts >= 1
+
+
+def test_background_restart_catches_up_across_a_replace(base_collection):
+    """A replace broadcast while a replica re-bootstraps in the
+    background moves the version by two (delete + insert). The restart's
+    catch-up must expect that version, not one more per record, or the
+    worker refuses it at the version barrier and the replica stays
+    down."""
+    baseline = make_baseline(base_collection)
+    try:
+        with make_cluster(
+            base_collection, replicas=2, request_timeout=10.0
+        ) as cluster:
+            victim = cluster.replica_handle(0, 0)
+            name = base_collection.name_of(3)
+            tokens = sorted(base_collection[5])[:4] + ["catch-up-token"]
+            spawn = victim.spawn
+
+            calls = []
+
+            def spawn_after_a_replace(spec=None, **kwargs):
+                # The spec is built; the replace lands in the catch-up.
+                calls.append(1)
+                cluster.replace(name, tokens)
+                baseline.replace(name, tokens)
+                return spawn(spec, **kwargs)
+
+            victim.spawn = spawn_after_a_replace
+            victim.process.kill()
+            victim.process.join()
+            # The broadcast finds the victim dead; its sibling covers the
+            # partition, so the respawn goes to the background restarter.
+            detector = ["detector-a", "detector-b"]
+            cluster.insert(detector, name="detector")
+            baseline.insert(detector, name="detector")
+            query = frozenset(base_collection[0])
+            deadline = time.monotonic() + 60.0
+            while victim.restarting and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert calls == [1], "the restart never reached the spawn"
+            assert not victim.restarting
+            assert victim.alive(), "the catch-up left the replica down"
+            assert victim.restarts == 1
+            for probe in (query, frozenset(tokens)):
+                assert_bitwise_equal(
+                    cluster.search(probe, K),
+                    baseline.search(probe, K),
+                    "after the catch-up",
+                )
+    finally:
+        baseline.shutdown()

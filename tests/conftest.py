@@ -18,6 +18,13 @@ from repro.sim import CallableSimilarity
 #: on every run and prints the blob that replays a failing one locally
 #: (``@reproduce_failure``).
 settings.register_profile("ci", derandomize=True, print_blob=True)
+#: ``HYPOTHESIS_PROFILE=thorough`` raises the default to 2000 examples;
+#: CI runs the solver-vs-oracle property under it (that property takes
+#: the larger of 300 and the default; tests that fix their own count
+#: keep it).
+settings.register_profile(
+    "thorough", derandomize=True, print_blob=True, max_examples=2000
+)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 #: Relative tolerance for comparing scores computed through the float32

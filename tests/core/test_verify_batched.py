@@ -251,6 +251,30 @@ class TestWorkFollowsSolverEntries:
         # Two reads per resolved No-EM accept (members, cache view).
         assert calls["__getitem__"] <= budget + len(result.entries)
 
+    def test_tree_roots_tag_sums_the_solver_runs(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.obs import TraceSink, Tracer
+
+        sets, provider = cluster_corpus()
+        engine = engine_over(SetCollection(sets), provider)
+        query = frozenset(sets[11])
+        runs = []
+        solver = fastpath_verify.hungarian_matching
+
+        def recorded(*args, **kwargs):
+            runs.append(solver(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(fastpath_verify, "hungarian_matching", recorded)
+        tracer = Tracer(TraceSink(str(tmp_path / "trace.jsonl")))
+        with tracer.span("search") as span:
+            engine.search(query, 5)
+        tracer.close()
+        total = sum(run.tree_roots for run in runs)
+        assert total > 0  # some matchings fell through the shortcut
+        assert span.tags["verify_tree_roots"] == total
+
     def test_lazy_snapshot_collection_decodes_only_what_is_matched(
         self, tmp_path
     ):

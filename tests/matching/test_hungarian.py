@@ -104,6 +104,14 @@ class TestValidation:
         with pytest.raises(MatchingError):
             hungarian_matching(np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_rejects_non_finite_weights(self, bad):
+        # Used to fail with an IndexError deep in the tree loop.
+        with pytest.raises(MatchingError, match="finite"):
+            hungarian_matching(np.array([[bad, 0.8], [0.9, 0.7]]))
+
 
 class TestEarlyTermination:
     def test_prunes_when_bound_unreachable(self):

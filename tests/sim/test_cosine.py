@@ -168,3 +168,52 @@ class TestTableRowsGather:
         row_ids, rows = store.table_maps(table)
         assert rows[late] == store.row_of("late")
         assert row_ids[store.row_of("late")] == late
+
+    def test_store_less_rows_are_cached_per_table(self):
+        """Without a store, the rows are stacked once per table object
+        and gathered after that, bitwise what ``unit_rows`` stacks; a new
+        table starts a new cache."""
+        from repro.index.interning import TokenTable
+
+        provider = SyntheticEmbeddingModel(
+            dim=16,
+            clusters={"c": ["a1", "a2", "a3"]},
+            cluster_similarity=0.9,
+            oov_tokens={"ghost"},
+        )
+        sim = CosineSimilarity(provider)
+        oracle = CosineSimilarity(provider)
+        table = TokenTable.from_vocabulary(["a1", "a2", "a3", "b", "ghost"])
+
+        def expected(table, ids):
+            return oracle.unit_rows([table.tokens[i] for i in ids.tolist()])
+
+        first = np.array([4, 0, 2, 0], dtype=np.int64)
+        assert sim.table_rows(table, first).tobytes() == (
+            expected(table, first).tobytes()
+        )
+        # A later call reads the cached rows and stacks only the ids it
+        # has not seen.
+        stacked = []
+        sim.unit_rows = lambda tokens: stacked.append(tokens) or (
+            oracle.unit_rows(tokens)
+        )
+        every = np.arange(len(table), dtype=np.int64)[::-1].copy()
+        assert sim.table_rows(table, every).tobytes() == (
+            expected(table, every).tobytes()
+        )
+        assert stacked == [["b", "a2"]]
+        assert sim.table_rows(table, first).tobytes() == (
+            expected(table, first).tobytes()
+        )
+        assert stacked == [["b", "a2"]]
+
+        # A new table, with ids that mean other tokens: no stale row.
+        renamed = TokenTable.from_vocabulary(["a0", "a1", "a2", "a3", "z"])
+        assert sim.table_rows(renamed, every).tobytes() == (
+            expected(renamed, every).tobytes()
+        )
+        assert sim.table_rows(table, every).tobytes() == (
+            expected(table, every).tobytes()
+        )
+        assert sim.table_rows(table, every[:0]).shape == (0, 16)
