@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.config import FilterConfig
-from repro.core.koios import KoiosSearchEngine, ResultEntry, SearchResult
+from repro.core.koios import (
+    KoiosSearchEngine,
+    ResultEntry,
+    SearchResult,
+    check_k,
+)
 from repro.core.semantic_overlap import semantic_overlap
 from repro.core.stats import SearchStats
 from repro.datasets.collection import SetCollection
@@ -38,8 +43,6 @@ class ExhaustiveBaseline(KoiosSearchEngine):
         *,
         alpha: float = 0.8,
         use_iub: bool = False,
-        num_partitions: int = 1,
-        partition_seed: int = 0,
     ) -> None:
         """``use_iub=True`` yields Baseline+."""
         config = (
@@ -50,8 +53,6 @@ class ExhaustiveBaseline(KoiosSearchEngine):
             token_index,
             sim,
             alpha=alpha,
-            num_partitions=num_partitions,
-            partition_seed=partition_seed,
             config=config,
         )
 
@@ -90,8 +91,7 @@ class BruteForceSearcher:
 
     def search(self, query: Iterable[str], k: int = 10) -> SearchResult:
         """Top-k among sets with non-zero semantic overlap (Definition 2)."""
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         all_scores = self.scores(query)
         ranked = sorted(
             (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.koios import ResultEntry, SearchResult
+from repro.core.koios import ResultEntry, SearchResult, check_k
 from repro.core.semantic_overlap import greedy_semantic_overlap
 from repro.core.stats import SearchStats
 from repro.datasets.collection import SetCollection
@@ -64,8 +64,7 @@ class GreedyTopKSearch:
         return sorted(found)
 
     def search(self, query: Iterable[str], k: int = 10) -> SearchResult:
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         query_set = frozenset(query)
         candidates = self.candidate_ids(query_set)
         scored = [

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.koios import ResultEntry, SearchResult
+from repro.core.koios import ResultEntry, SearchResult, check_k
 from repro.core.semantic_overlap import semantic_overlap
 from repro.core.stats import SearchStats
 from repro.datasets.collection import SetCollection
@@ -210,8 +210,7 @@ class SilkMothSearch:
         top-k heap. Ties at ``theta_star`` are cut arbitrarily, like the
         paper's Definition 2 allows.
         """
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         matches, silk_stats = self.search_threshold(query, theta_star)
         heap: list[tuple[float, int]] = []
         for set_id, score in matches:

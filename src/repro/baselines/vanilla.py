@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.core.koios import ResultEntry, SearchResult
+from repro.core.koios import ResultEntry, SearchResult, check_k
 from repro.core.stats import SearchStats
 from repro.datasets.collection import SetCollection
-from repro.errors import EmptyQueryError, InvalidParameterError
+from repro.errors import EmptyQueryError
 from repro.index.inverted import InvertedIndex
 
 
@@ -43,8 +43,7 @@ class VanillaOverlapSearch:
 
     def search(self, query: Iterable[str], k: int = 10) -> SearchResult:
         """Top-k sets by vanilla overlap (ties broken by ascending id)."""
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         counts = self.overlaps(query)
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         stats = SearchStats()

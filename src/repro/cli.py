@@ -54,7 +54,6 @@ import sys
 from pathlib import Path
 
 from repro.core.config import FilterConfig
-from repro.core.koios import KoiosSearchEngine
 from repro.datasets.io import load_collection_auto, save_collection_json
 from repro.datasets.profiles import profile_by_name
 from repro.datasets.synthetic import generate_dataset
@@ -69,6 +68,7 @@ from repro.errors import (
     WalError,
 )
 from repro.service import (
+    EnginePool,
     GracefulShutdown,
     QueryScheduler,
     ResultCache,
@@ -214,16 +214,15 @@ def cmd_search(args: argparse.Namespace) -> int:
         args.collection, alpha=args.alpha, jaccard=args.jaccard, dim=args.dim
     )
     query = frozenset(args.token)
-    engine = KoiosSearchEngine(
+    pool = EnginePool(
         collection,
         index,
         sim,
         alpha=args.alpha,
-        num_partitions=args.partitions,
+        shards=args.partitions,
         config=FilterConfig.koios(iub_mode=args.iub_mode),
-        inverted_factory=getattr(collection, "delta_index", None),
     )
-    result = engine.search(query, k=args.k)
+    result = pool.search(query, k=args.k)
     for entry in result.entries:
         print(f"{entry.score:10.4f}  {entry.name}")
     if args.verbose:
@@ -722,7 +721,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("-k", type=int, default=10)
     _add_substrate_arguments(search)
-    search.add_argument("--partitions", type=int, default=1)
+    search.add_argument(
+        "--partitions", type=int, default=1,
+        help="random partitions sharing one theta_lb (§VI), served as "
+        "the shards of one engine pool",
+    )
     search.add_argument("--verbose", action="store_true")
     search.set_defaults(func=cmd_search)
 

@@ -82,7 +82,7 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.replication import PartitionGroup, RetryPolicy
 from repro.cluster.worker import worker_main
 from repro.core.config import FilterConfig
-from repro.core.koios import SearchResult
+from repro.core.koios import SearchResult, check_k
 from repro.datasets.collection import SetCollection
 from repro.errors import (
     ClusterError,
@@ -766,8 +766,7 @@ class ClusterPool:
         query_set = frozenset(query)
         if not query_set:
             raise EmptyQueryError("query set is empty")
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         effective_alpha = self._effective_alpha(alpha)
         watch = Stopwatch()
         with self._lock:

@@ -3,21 +3,23 @@
 :class:`KoiosSearchEngine` ties the pieces together exactly as Fig. 2 of
 the paper sketches: the token stream ``Ie`` (backed by a pluggable vector
 or Jaccard index), the inverted index ``Is``, the refinement phase
-(Algorithm 1), the post-processing phase (Algorithm 2), and the optional
-random partitioning with a shared global ``theta_lb`` (§VI).
+(Algorithm 1) and the post-processing phase (Algorithm 2).
 
-A search drains the token stream once, replays it per partition, runs
-refinement + post-processing per partition, resolves the exact semantic
-overlap of any set accepted without matching, and merge-sorts the
-per-partition top-k lists into the final result.
+An engine searches one partition of the repository: a search drains the
+token stream (or replays a given one), runs refinement + post-processing,
+resolves the exact semantic overlap of any set accepted without
+matching, and ranks the result. §VI's random partitions sharing one
+global ``theta_lb`` are the shards of
+:class:`~repro.service.pool.EnginePool`, one engine each.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.core.config import FilterConfig
 from repro.core.fastpath import (
@@ -58,6 +60,39 @@ from repro.utils.memory import FLOAT_BYTES, container_bytes, tuple_bytes
 _SIM_CACHE_ENTRY_BYTES = tuple_bytes(2) + FLOAT_BYTES
 
 
+def check_k(k: int) -> None:
+    """Refuse a result size that is not an integer >= 1 (``bool`` is
+    not a size), before a search does any work."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidParameterError(
+            f"k must be an integer, got {type(k).__name__}"
+        )
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+
+
+def _owned_ids(
+    collection: SetCollection, set_ids: Iterable[int] | None
+) -> list[int]:
+    """The set ids an engine searches: every live id, or ``set_ids``
+    once checked to be distinct integer slots of ``collection``."""
+    if set_ids is None:
+        return np.flatnonzero(collection.alive_mask).tolist()
+    ids = np.asarray(list(set_ids))
+    if ids.size == 0:
+        raise InvalidParameterError("set_ids may not be empty")
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise InvalidParameterError("set_ids must be integer set ids")
+    outside = (ids < 0) | (ids >= collection.num_slots)
+    if outside.any():
+        raise InvalidParameterError(
+            f"set_ids holds an out-of-range set id: {int(ids[outside][0])}"
+        )
+    if np.unique(ids).size != ids.size:
+        raise InvalidParameterError("set_ids may not repeat a set id")
+    return ids.tolist()
+
+
 @dataclass(frozen=True)
 class ResultEntry:
     """One set in a top-k result."""
@@ -85,6 +120,9 @@ class SearchResult:
     sets from the silent ones. ``coverage`` is then
     ``(partitions answered, partitions total)``; both stay at their
     defaults on every fully-covered search.
+
+    ``partition_stats`` holds one :class:`SearchStats` per partition
+    searched: ``[stats]`` for an engine, one per shard for a pool.
     """
 
     entries: list[ResultEntry]
@@ -125,23 +163,16 @@ class KoiosSearchEngine:
         with ``token_index`` (the index streams *this* similarity).
     alpha:
         Element similarity threshold in (0, 1].
-    num_partitions:
-        Random partitions processed with a shared ``theta_lb`` (§VI).
     config:
         Filter switches; defaults to full Koios.
-    parallel_partitions:
-        Process partitions concurrently on a thread pool, as the paper
-        does on its 64-core testbed. Results are identical either way;
-        only wall-clock time and the work-saving effect of the shared
-        ``theta_lb`` (fast partitions pruning slow ones early) change.
     set_ids:
         Restrict the searchable repository to these set ids (the full
         collection object is still shared, so ids, names, and vocabulary
         stay global). The engine pool uses this to keep one warm engine
         per shard of the repository.
     inverted_factory:
-        Called with each partition's set ids to produce its inverted
-        index instead of re-indexing the collection. The store layer
+        Called with the engine's set ids to produce its inverted index
+        instead of re-indexing the collection. The store layer
         passes delta-maintained indexes (snapshot postings, mutable
         overlays) through here, so engine construction adopts arrays
         instead of re-indexing the collection.
@@ -154,10 +185,7 @@ class KoiosSearchEngine:
         sim: SimilarityFunction,
         *,
         alpha: float = 0.8,
-        num_partitions: int = 1,
-        partition_seed: int = 0,
         config: FilterConfig | None = None,
-        parallel_partitions: bool = False,
         set_ids: Iterable[int] | None = None,
         inverted_factory: Callable[[Sequence[int]], InvertedIndex]
         | None = None,
@@ -171,30 +199,20 @@ class KoiosSearchEngine:
         self._sim = sim
         self._alpha = alpha
         self._config = config or FilterConfig.koios()
-        self._parallel_partitions = parallel_partitions
-        within = None if set_ids is None else list(set_ids)
-        if within is not None and not within:
-            raise InvalidParameterError("set_ids may not be empty")
-        partitions = collection.partition(
-            num_partitions, seed=partition_seed, within=within
-        )
-        partitions = [ids for ids in partitions if ids]
+        ids = _owned_ids(collection, set_ids)
         if inverted_factory is not None:
-            self._inverted = [inverted_factory(ids) for ids in partitions]
+            self._index = inverted_factory(ids)
         else:
-            self._inverted = [
-                InvertedIndex(collection, ids) for ids in partitions
-            ]
-        self._num_sets = sum(len(ids) for ids in partitions)
-        self._index_bytes = sum(index.nbytes() for index in self._inverted)
-        # Columnar context: the token table plus one CSR view per
-        # partition. Built here, at the state the indexes were built
-        # at, so that :meth:`advance` carries it forward from a known
-        # point (a hot swap advances engines, it does not build them).
+            self._index = InvertedIndex(collection, ids)
+        self._num_sets = len(ids)
+        self._index_bytes = self._index.nbytes()
+        # Columnar context: the token table plus the partition's CSR
+        # view. Built here, at the state the index was built at, so
+        # that :meth:`advance` carries it forward from a known point (a
+        # hot swap advances engines, it does not build them).
         table = token_table_for(collection)
         self._columnar_ctx: tuple = (
-            table,
-            [ColumnarPartition.build(index, table) for index in self._inverted],
+            table, ColumnarPartition.build(self._index, table)
         )
 
     @property
@@ -208,10 +226,6 @@ class KoiosSearchEngine:
     @property
     def config(self) -> FilterConfig:
         return self._config
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self._inverted)
 
     @property
     def num_sets(self) -> int:
@@ -228,22 +242,20 @@ class KoiosSearchEngine:
         and one copy of the partition's posting array, not a rebuild —
         and lands array-equal to a freshly built engine's. Returns
         False, leaving the engine untouched, when it cannot advance (its
-        index is not a single advancing delta view); the caller
-        rebuilds it instead. Not safe concurrently with searches: the
-        engine pool calls this under its write lock.
+        index is not an advancing delta view); the caller rebuilds it
+        instead. Not safe concurrently with searches: the engine pool
+        calls this under its write lock.
         """
-        if len(self._inverted) != 1 or not hasattr(
-            self._inverted[0], "advance"
-        ):
+        index = self._index
+        if not hasattr(index, "advance"):
             return False
-        index = self._inverted[0]
         dead, born = index.advance(new_ids)
         self._num_sets += len(born) - len(dead)
         self._index_bytes = index.nbytes()
-        old_table, (partition,) = self._columnar_ctx
+        old_table, partition = self._columnar_ctx
         table = token_table_for(self._collection)
         self._columnar_ctx = (
-            table, [partition.advanced(old_table, table, dead, born)]
+            table, partition.advanced(old_table, table, dead, born)
         )
         return True
 
@@ -319,8 +331,7 @@ class KoiosSearchEngine:
         query_set = frozenset(query)
         if not query_set:
             raise EmptyQueryError("query set is empty")
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         alpha = self._check_alpha(alpha)
 
         stats = SearchStats()
@@ -346,47 +357,26 @@ class KoiosSearchEngine:
             else GlobalThreshold()
         )
         # The similarity cache is a property of the drained stream, not
-        # of any partition's schedule: fill it — and group it by token
-        # for verification-matrix seeding — once per search.
+        # of the pruning schedule: fill it — and group it by token for
+        # verification-matrix seeding — once per search.
         with traced_phase(stats.timer, REFINEMENT):
             sim_cache = sim_cache_from_stream(stream)
             cache_by_token = index_cache_by_token(sim_cache)
-        columnar_ctx = self._columnar_ctx
-        verified: list[VerifiedEntry] = []
-        timed_out = False
-        partition_stats = [SearchStats() for _ in self._inverted]
-
-        def run_partition(position: int) -> list[VerifiedEntry]:
-            return self._search_partition(
+        try:
+            verified = self._refine_and_verify(
                 query_set,
                 k,
                 alpha,
                 stream,
-                position,
                 shared,
                 sim_cache,
-                partition_stats[position],
+                stats,
                 deadline,
-                columnar_ctx,
                 cache_by_token,
             )
-
-        try:
-            if self._parallel_partitions and len(self._inverted) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=len(self._inverted)
-                ) as pool:
-                    for entries in pool.map(
-                        run_partition, range(len(self._inverted))
-                    ):
-                        verified.extend(entries)
-            else:
-                for position in range(len(self._inverted)):
-                    verified.extend(run_partition(position))
+            timed_out = False
         except SearchTimeout:
-            timed_out = True
-        for part_stats in partition_stats:
-            stats.merge(part_stats)
+            verified, timed_out = [], True
 
         entries = self._rank(
             query_set,
@@ -402,34 +392,34 @@ class KoiosSearchEngine:
             stats=stats,
             k=k,
             timed_out=timed_out,
-            partition_stats=partition_stats,
+            partition_stats=[stats],
         )
 
     # -- internals --------------------------------------------------------
 
-    def _search_partition(
+    def _refine_and_verify(
         self,
         query: frozenset[str],
         k: int,
         alpha: float,
         stream: MaterializedTokenStream,
-        position: int,
         shared: GlobalThreshold,
         sim_cache: dict[tuple[str, str], float],
         stats: SearchStats,
         deadline: float | None,
-        columnar_ctx: tuple,
         cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> list[VerifiedEntry]:
-        """Refinement + post-processing of one partition."""
+        """Refinement + post-processing (Algorithms 1 and 2); the
+        oracle engine of the tests overrides this."""
         llb = TopKList(k)
         theta = ThetaLB(llb, shared)
-        table, partitions = columnar_ctx
+        # Read once: a search sees one (table, partition) pair.
+        table, partition = self._columnar_ctx
         with traced_phase(stats.timer, REFINEMENT):
             output = refine_columnar(
                 query,
                 stream,
-                partitions[position],
+                partition,
                 table,
                 theta,
                 stats,
@@ -455,7 +445,7 @@ class KoiosSearchEngine:
                 table,
                 self._sim,
                 alpha,
-                partitions[position],
+                partition,
             )
         with traced_phase(stats.timer, POSTPROCESSING):
             entries = postprocess(
@@ -485,7 +475,7 @@ class KoiosSearchEngine:
         stats: SearchStats,
         cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> list[ResultEntry]:
-        """Merge per-partition lists, optionally resolving inexact scores.
+        """Rank the verified sets, optionally resolving inexact scores.
 
         Resolution seeds the matching matrix from the same streamed
         similarity cache the in-phase verifications use, so a set's exact

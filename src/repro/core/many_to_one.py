@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.koios import ResultEntry, SearchResult
+from repro.core.koios import ResultEntry, SearchResult, check_k
 from repro.core.stats import REFINEMENT, SearchStats
 from repro.datasets.collection import SetCollection
 from repro.errors import EmptyQueryError, InvalidParameterError
@@ -84,8 +84,7 @@ class ManyToOneSearchEngine:
 
     def search(self, query: Iterable[str], k: int = 10) -> SearchResult:
         """The k sets with the largest many-to-one overlap."""
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(k)
         stats = SearchStats()
         with stats.timer.phase(REFINEMENT):
             totals = self.scores(query)

@@ -106,8 +106,8 @@ class GlobalThreshold:
 
     Each partition pushes its local ``theta_lb``; every reader sees the
     maximum over all partitions, which the paper uses to let fast
-    partitions prune slow ones. Thread-safe: partitions and shards may
-    search on a thread pool.
+    partitions prune slow ones. Thread-safe: the shards of an engine
+    pool may search on its thread pool.
     """
 
     def __init__(self, initial: float = 0.0) -> None:

@@ -179,38 +179,19 @@ class SetCollection:
         num_partitions: int,
         *,
         seed: int | None = 0,
-        within: Sequence[int] | None = None,
     ) -> list[list[int]]:
-        """Randomly split set ids into ``num_partitions`` groups (§VI).
+        """Randomly split the live set ids into ``num_partitions``
+        ascending groups (§VI) — the layout a ``num_partitions``-shard
+        :class:`~repro.service.pool.EnginePool` serves.
 
-        Ownership is id-stable (see :meth:`slot_assignment`). Returns a
-        list of id lists (ascending, or in ``within`` order); empty
-        partitions are possible for tiny inputs and are skipped by the
-        searcher.
-
-        ``within`` restricts the split to an explicit id subset — the
-        sharded engine pool partitions the repository once and hands each
-        shard engine its slice through this parameter.
+        Ownership is id-stable (see :meth:`slot_assignment`); empty
+        partitions are possible for tiny inputs.
         """
         if num_partitions < 1:
             raise InvalidParameterError("num_partitions must be >= 1")
-        if within is None:
-            universe = np.flatnonzero(self.alive_mask)
-        else:
-            universe = np.asarray(within, dtype=np.int64)
-            outside = (universe < 0) | (universe >= self.num_slots)
-            if outside.any():
-                raise InvalidParameterError(
-                    f"set id out of range: {int(universe[outside][0])}"
-                )
-            if np.unique(universe).size != universe.size:
-                raise InvalidParameterError(
-                    "within may not contain duplicate set ids"
-                )
-        if num_partitions == 1:
-            return [universe.tolist()]
+        universe = np.flatnonzero(self.alive_mask)
         assignment = self.slot_assignment(
-            num_partitions, seed=seed, nested=within is not None
+            num_partitions, seed=seed
         )[universe]
         return [
             universe[assignment == part].tolist()

@@ -20,6 +20,7 @@ from repro.datasets.synthetic import SyntheticDataset
 from repro.embedding.provider import VectorStore
 from repro.index.vector_index import ExactCosineIndex
 from repro.obs import timed
+from repro.service.pool import EnginePool
 from repro.sim.cosine import CosineSimilarity
 
 #: A searcher under test: called with (query_tokens, k) -> SearchResult.
@@ -43,7 +44,6 @@ class SearchStack:
         self,
         *,
         alpha: float = 0.8,
-        num_partitions: int = 1,
         config: FilterConfig | None = None,
     ) -> KoiosSearchEngine:
         return KoiosSearchEngine(
@@ -51,7 +51,6 @@ class SearchStack:
             self.index,
             self.sim,
             alpha=alpha,
-            num_partitions=num_partitions,
             config=config,
         )
 
@@ -90,9 +89,10 @@ class QueryRecord:
     @property
     def parallel_seconds(self) -> float:
         """Response time if partitions ran fully in parallel: the serial
-        time with the per-partition work replaced by the slowest
-        partition — how the paper's multi-core testbed experiences a
-        partitioned query, free of GIL artifacts."""
+        time with the per-partition work (a pool's per-shard stats)
+        replaced by the slowest partition — how the paper's multi-core
+        testbed experiences a partitioned query, free of GIL
+        artifacts."""
         if not self.partition_seconds:
             return self.seconds
         serial_partition_work = sum(self.partition_seconds)
@@ -145,9 +145,12 @@ def run_benchmark(
 
 
 def koios_search_fn(
-    engine: KoiosSearchEngine, *, time_budget: float | None = None
+    engine: KoiosSearchEngine | EnginePool,
+    *,
+    time_budget: float | None = None,
 ) -> SearchFn:
-    """Adapt a Koios-style engine to the benchmark runner."""
+    """Adapt a Koios-style engine (or an engine pool) to the benchmark
+    runner."""
 
     def run(tokens: frozenset, k: int) -> SearchResult:
         return engine.search(tokens, k, time_budget=time_budget)

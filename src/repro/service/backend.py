@@ -12,10 +12,10 @@ The contract is intentionally the *semantic* one, not a transport one:
 
 * ``version`` keys the result cache — it must change whenever results
   could change, and it must be hashable;
-* ``drain``/``search`` must produce results bitwise-identical to a
-  single warm :class:`~repro.core.koios.KoiosSearchEngine` over the
-  same partition layout (exactness is the product; no backend may trade
-  it away silently);
+* ``drain``/``search`` must produce results bitwise-identical to an
+  in-process :class:`~repro.service.pool.EnginePool` with the same
+  shard layout (exactness is the product; no backend may trade it away
+  silently);
 * mutations are applied synchronously — when ``insert``/``delete``/
   ``replace`` returns, every subsequent ``search`` observes the new
   state (cluster backends enforce this with a version barrier across

@@ -1,11 +1,12 @@
-"""A pool of warm, sharded Koios engines.
+"""A pool of warm, sharded Koios engines: §VI's partitioned search.
 
 The repository is split once into ``shards`` random partitions (§VI's
-scale-out scheme); each shard gets a long-lived
-:class:`~repro.core.koios.KoiosSearchEngine` whose inverted index covers
-only that shard, while the collection object, token index, and similarity
-function are shared — so set ids, names, and the vocabulary stay global
-and per-shard results merge without any id remapping.
+scale-out scheme, the only place the code implements it); each shard gets
+a long-lived :class:`~repro.core.koios.KoiosSearchEngine` whose inverted
+index covers only that shard, while the collection object, token index,
+and similarity function are shared — so set ids, names, and the
+vocabulary stay global and per-shard results merge without any id
+remapping.
 
 One query is answered by replaying a single drained token stream through
 every shard engine under one shared
@@ -28,15 +29,20 @@ from typing import Any, Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.core.config import FilterConfig
-from repro.core.koios import KoiosSearchEngine, ResultEntry, SearchResult
-from repro.core.stats import SearchStats
+from repro.core.koios import (
+    KoiosSearchEngine,
+    ResultEntry,
+    SearchResult,
+    check_k,
+)
+from repro.core.stats import REFINEMENT, SearchStats
 from repro.core.topk import GlobalThreshold, TopKList
 from repro.datasets.collection import SetCollection
 from repro.errors import EmptyQueryError, InvalidParameterError
 from repro.index.base import TokenIndex
 from repro.index.interning import token_table_for
 from repro.index.token_stream import MaterializedTokenStream
-from repro.obs import Stopwatch, current_context, get_tracer
+from repro.obs import Stopwatch, current_context, get_tracer, traced_phase
 from repro.service.backend import (
     materialize_stream,
     require_mutable,
@@ -192,9 +198,9 @@ class EnginePool:
 
     def _shard_of_slots(self) -> np.ndarray:
         """``int64[num_slots]``: the shard owning every id slot, -1 for
-        slots of other pools' partitions — the split
-        ``partition(count)[index]`` then ``partition(shards, within=...)``
-        makes, as a function of the id."""
+        slots of other pools' partitions: ``partition(count)[index]``
+        split again into ``shards`` by a second, independent draw, as a
+        function of the id."""
         collection = self._collection
         shard = collection.slot_assignment(
             self._shards,
@@ -461,6 +467,9 @@ class EnginePool:
         hot-swaps onto the new version.
         """
         query_set = frozenset(query)
+        if not query_set:
+            raise EmptyQueryError("query set is empty")
+        check_k(k)
         effective_alpha = self._effective_alpha(alpha)
         while True:
             self._ensure_fresh()
@@ -483,8 +492,6 @@ class EnginePool:
         if not engines:
             # This pool's partition holds no live sets: the exact top-k
             # over an empty slice is empty.
-            if k < 1:
-                raise InvalidParameterError("k must be >= 1")
             return SearchResult(entries=[], stats=SearchStats(), k=k)
         if stream is not None and (
             stream.version is not None and stream.version != self.version
@@ -494,13 +501,18 @@ class EnginePool:
             # it against the hot-swapped engines would be a torn view —
             # the stream's vocabulary filter belongs to the old state.
             stream = None
+        # A drain the pool does itself is refinement work, timed as an
+        # engine times its own drain; a replayed stream adds nothing.
+        drained = None
         if stream is None:
-            stream = materialize_stream(
-                self._token_index,
-                self._collection,
-                query_set,
-                alpha,
-            )
+            drained = SearchStats()
+            with traced_phase(drained.timer, REFINEMENT):
+                stream = materialize_stream(
+                    self._token_index,
+                    self._collection,
+                    query_set,
+                    alpha,
+                )
         shared = GlobalThreshold()
         # One wall-clock deadline for the whole query: each shard gets
         # whatever budget remains, not a fresh copy of the full budget.
@@ -555,7 +567,10 @@ class EnginePool:
             shard_results = [
                 run_shard(item) for item in enumerate(engines)
             ]
-        return merge_results(shard_results, k)
+        merged = merge_results(shard_results, k)
+        if drained is not None:
+            merged.stats.merge(drained)
+        return merged
 
 
 def merge_results(shard_results: list[SearchResult], k: int) -> SearchResult:

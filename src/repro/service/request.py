@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.koios import SearchResult
+from repro.core.koios import SearchResult, check_k
 from repro.errors import EmptyQueryError, InvalidParameterError
 from repro.obs import SpanContext
 
@@ -63,8 +63,7 @@ class SearchRequest:
             raise EmptyQueryError("query set is empty")
         if any(not isinstance(token, str) for token in self.query):
             raise InvalidParameterError("query tokens must be strings")
-        if self.k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        check_k(self.k)
         if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
             raise InvalidParameterError("alpha must be in (0, 1]")
 

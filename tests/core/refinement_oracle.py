@@ -44,6 +44,7 @@ from repro.errors import EmptyQueryError, InvalidParameterError, SearchTimeout
 from repro.index.inverted import InvertedIndex
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import traced_phase
+from repro.service.pool import EnginePool
 from repro.utils.memory import FLOAT_BYTES, INT_BYTES, container_bytes
 
 #: How many stream tuples to process between deadline checks.
@@ -545,8 +546,8 @@ class ReferenceEngine(KoiosSearchEngine):
     (:meth:`MaterializedTokenStream.drain`), :func:`refine` and
     per-candidate verification (``postprocess`` without a verifier).
 
-    Construction, partitioning, the shared ``theta_lb``, deadlines and
-    ``_rank`` are the engine's own, so any difference from
+    Construction, the shared ``theta_lb``, deadlines and ``_rank`` are
+    the engine's own, so any difference from
     :class:`KoiosSearchEngine` in entries, counters or the ``theta_lb``
     trajectory is a difference in the drain or in the two phases.
     """
@@ -564,24 +565,22 @@ class ReferenceEngine(KoiosSearchEngine):
             collection_vocabulary=self._collection.vocabulary,
         )
 
-    def _search_partition(
+    def _refine_and_verify(
         self,
         query: frozenset[str],
         k: int,
         alpha: float,
         stream: MaterializedTokenStream,
-        position: int,
         shared: GlobalThreshold,
         sim_cache: dict[tuple[str, str], float],
         stats: SearchStats,
         deadline: float | None,
-        columnar_ctx: tuple,
         cache_by_token: dict[str, list[tuple[str, float]]],
     ) -> list[VerifiedEntry]:
         theta = ThetaLB(TopKList(k), shared)
         with traced_phase(stats.timer, REFINEMENT):
             output = refine(
-                query, stream, self._inverted[position], self._collection,
+                query, stream, self._index, self._collection,
                 theta, stats, self._config, sim_cache=sim_cache,
                 deadline=deadline,
             )
@@ -596,5 +595,24 @@ class ReferenceEngine(KoiosSearchEngine):
             )
 
 
+class ReferencePool(EnginePool):
+    """An engine pool whose shard engines are the oracle: §VI's
+    partitioned search with the two phases of :class:`ReferenceEngine`
+    (the pool drains the stream it hands every shard)."""
+
+    def _make_engine(self, set_ids):
+        return ReferenceEngine(
+            self._collection,
+            self._token_index,
+            self._sim,
+            alpha=self._alpha,
+            config=self._config,
+            set_ids=set_ids,
+            inverted_factory=getattr(self._collection, "delta_index", None),
+        )
+
+
 #: The engine under test and its oracle, by the name tests parametrize.
 ENGINES = {"columnar": KoiosSearchEngine, "reference": ReferenceEngine}
+#: The same pair as engine pools.
+POOLS = {"columnar": EnginePool, "reference": ReferencePool}

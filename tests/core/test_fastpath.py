@@ -33,7 +33,7 @@ from repro.service import EnginePool
 from repro.store import MutableSetCollection
 from repro.store.snapshot import build_substrate
 from repro.utils.rng import make_rng
-from tests.core.refinement_oracle import ReferenceEngine
+from tests.core.refinement_oracle import ReferenceEngine, ReferencePool
 
 K = 10
 ALPHAS = (0.7, 0.9)
@@ -84,21 +84,6 @@ def reference_engine(stack, **kwargs):
     return ReferenceEngine(
         stack.collection, stack.index, stack.sim, alpha=0.8, **kwargs
     )
-
-
-class ReferencePool(EnginePool):
-    """An engine pool whose shard engines are the oracle."""
-
-    def _make_engine(self, set_ids):
-        return ReferenceEngine(
-            self._collection,
-            self._token_index,
-            self._sim,
-            alpha=self._alpha,
-            config=self._config,
-            set_ids=set_ids,
-            inverted_factory=self._collection.delta_index,
-        )
 
 
 def sample_queries(collection, rng, count):
@@ -429,8 +414,17 @@ class TestEngineEquivalence:
 
     def test_partitioned_engines_bitwise_equal(self, tiny_opendata):
         collection = tiny_opendata.collection
-        reference = reference_engine(tiny_opendata, num_partitions=3)
-        columnar = tiny_opendata.engine(alpha=0.8, num_partitions=3)
+        reference, columnar = (
+            pool_class(
+                collection,
+                tiny_opendata.index,
+                tiny_opendata.sim,
+                alpha=0.8,
+                shards=3,
+            )
+            for pool_class in (ReferencePool, EnginePool)
+        )
+        assert columnar.num_shards == 3
         rng = make_rng(SEED + 2)
         for query in sample_queries(collection, rng, 5):
             assert_bitwise_equal(

@@ -3,6 +3,7 @@
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines import BruteForceSearcher
@@ -10,12 +11,14 @@ from repro.core import (
     FilterConfig,
     KoiosSearchEngine,
     fastpath,
+    koios,
     postprocessing,
 )
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel, VectorStore
 from repro.errors import EmptyQueryError, InvalidParameterError
 from repro.index.vector_index import ExactCosineIndex
+from repro.service import EnginePool
 from repro.sim import CallableSimilarity
 from repro.sim.cosine import CosineSimilarity
 from tests.conftest import assert_same_scores
@@ -63,6 +66,25 @@ def make_engine(sets, sims, alpha=0.7, **kwargs):
     return engine, oracle
 
 
+def make_pool(sets, sims, alpha=0.7, **kwargs):
+    """§VI's partitioned search over the fixture: an engine pool."""
+    collection = SetCollection(sets)
+    sim = CallableSimilarity(PinnedSimilarityModel(sims))
+    index = ScanTokenIndex(collection.vocabulary, sim)
+    pool = EnginePool(collection, index, sim, alpha=alpha, **kwargs)
+    oracle = BruteForceSearcher(collection, sim, alpha=alpha)
+    return pool, oracle
+
+
+def make_empty_pool():
+    """A pool serving a partition of the fixture that holds no set."""
+    owners = SetCollection(FIXTURE_SETS).slot_assignment(50).tolist()
+    empty = min(set(range(50)) - set(owners))
+    pool, _ = make_pool(FIXTURE_SETS, FIXTURE_SIMS, partition=(empty, 50))
+    assert pool.num_shards == 0
+    return pool
+
+
 FIXTURE_SETS = [
     {"apple", "pear", "plum"},
     {"apple", "pear", "kiwi"},
@@ -89,6 +111,75 @@ class TestValidation:
         engine, _ = make_engine(FIXTURE_SETS, FIXTURE_SIMS)
         with pytest.raises(InvalidParameterError):
             engine.search({"apple"}, k=0)
+
+    @pytest.mark.parametrize(
+        "k", [2.5, float("inf"), "3", True, None, 0, -1]
+    )
+    @pytest.mark.parametrize("searcher", ["engine", "pool", "empty pool"])
+    def test_bad_k_rejected_before_any_work(self, monkeypatch, searcher, k):
+        """A non-integer, boolean or non-positive ``k`` is refused before
+        the stream is drained, by the engine, by a pool and by a pool
+        whose partition holds no live set."""
+        if searcher == "engine":
+            built, _ = make_engine(FIXTURE_SETS, FIXTURE_SIMS)
+        elif searcher == "pool":
+            built, _ = make_pool(FIXTURE_SETS, FIXTURE_SIMS, shards=2)
+        else:
+            built = make_empty_pool()
+
+        def no_drain(*args, **kwargs):
+            raise AssertionError("drained before k was checked")
+
+        monkeypatch.setattr(fastpath, "drain_stream", no_drain)
+        monkeypatch.setattr(koios, "drain_stream", no_drain)
+        with pytest.raises(InvalidParameterError, match="k must be"):
+            built.search({"apple"}, k=k)
+
+    @pytest.mark.parametrize("searcher", ["pool", "empty pool"])
+    def test_pool_rejects_empty_query(self, searcher):
+        """Like the engine, every pool refuses an empty query — also one
+        whose partition holds no live set."""
+        if searcher == "pool":
+            built, _ = make_pool(FIXTURE_SETS, FIXTURE_SIMS, shards=2)
+        else:
+            built = make_empty_pool()
+        with pytest.raises(EmptyQueryError):
+            built.search(set(), k=1)
+
+    def test_numpy_integer_k_accepted(self):
+        engine, oracle = make_engine(FIXTURE_SETS, FIXTURE_SIMS)
+        got = engine.search({"apple", "pear"}, k=np.int64(2))
+        assert_same_scores(
+            got.scores(), oracle.search({"apple", "pear"}, k=2).scores()
+        )
+
+    @pytest.mark.parametrize(
+        "set_ids, message",
+        [
+            ([1.5], "set_ids must be integer"),
+            (["3"], "set_ids must be integer"),
+            ([True], "set_ids must be integer"),
+            ([1, 10], "set_ids holds an out-of-range set id: 10"),
+            ([-1], "set_ids holds an out-of-range set id: -1"),
+            ([3, 3, 5], "set_ids may not repeat a set id"),
+            ([], "set_ids may not be empty"),
+        ],
+    )
+    def test_bad_set_ids_rejected(self, set_ids, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            make_engine(FIXTURE_SETS, FIXTURE_SIMS, set_ids=set_ids)
+
+    def test_set_ids_restrict_the_search(self):
+        engine, oracle = make_engine(
+            FIXTURE_SETS, FIXTURE_SIMS, set_ids=(4, 2)
+        )
+        assert engine.num_sets == 2
+        got = engine.search({"plum", "car", "train"}, k=6)
+        assert set(got.ids()) == {2, 4}
+        want = oracle.scores({"plum", "car", "train"})
+        assert got.scores() == sorted(
+            (want[2], want[4]), reverse=True
+        )
 
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -123,10 +214,10 @@ class TestExactness:
 
     @pytest.mark.parametrize("partitions", [1, 2, 4])
     def test_partitioned_search_is_exact(self, partitions):
-        engine, oracle = make_engine(
-            FIXTURE_SETS, FIXTURE_SIMS, num_partitions=partitions
+        pool, oracle = make_pool(
+            FIXTURE_SETS, FIXTURE_SIMS, shards=partitions
         )
-        got = engine.search({"apple", "pear", "plum"}, k=3)
+        got = pool.search({"apple", "pear", "plum"}, k=3)
         want = oracle.search({"apple", "pear", "plum"}, k=3)
         assert_same_scores(got.scores(), want.scores())
 
@@ -185,9 +276,15 @@ class TestResultShape:
         assert result.stats.candidates > 0
 
     def test_partition_stats_reported(self):
-        engine, _ = make_engine(FIXTURE_SETS, FIXTURE_SIMS, num_partitions=3)
+        """An engine is one partition; a pool reports one per shard."""
+        engine, _ = make_engine(FIXTURE_SETS, FIXTURE_SIMS)
         result = engine.search({"apple"}, k=1)
-        assert len(result.partition_stats) == engine.num_partitions
+        assert len(result.partition_stats) == 1
+        assert result.partition_stats[0] is result.stats
+        pool, _ = make_pool(FIXTURE_SETS, FIXTURE_SIMS, shards=3)
+        result = pool.search({"apple"}, k=1)
+        assert pool.num_shards == 3
+        assert len(result.partition_stats) == pool.num_shards
 
 
 class TestEdgeConfigurations:
@@ -219,10 +316,9 @@ class TestEdgeConfigurations:
         assert_same_scores(got.scores(), want.scores())
 
     def test_more_partitions_than_sets(self):
-        engine, oracle = make_engine(
-            FIXTURE_SETS, FIXTURE_SIMS, num_partitions=50
-        )
-        got = engine.search({"apple", "plum"}, k=3)
+        pool, oracle = make_pool(FIXTURE_SETS, FIXTURE_SIMS, shards=50)
+        assert pool.num_shards <= len(FIXTURE_SETS)
+        got = pool.search({"apple", "plum"}, k=3)
         want = oracle.search({"apple", "plum"}, k=3)
         assert_same_scores(got.scores(), want.scores())
 

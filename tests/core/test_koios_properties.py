@@ -8,6 +8,7 @@ from repro.baselines import BruteForceSearcher
 from repro.core import FilterConfig, KoiosSearchEngine
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel
+from repro.service import EnginePool
 from repro.sim import CallableSimilarity
 from tests.helpers import ScanTokenIndex
 
@@ -42,12 +43,12 @@ def test_koios_equals_brute_force(case):
     collection = SetCollection(sets)
     sim = CallableSimilarity(PinnedSimilarityModel(sims))
     index = ScanTokenIndex(collection.vocabulary, sim)
-    engine = KoiosSearchEngine(
+    engine = EnginePool(
         collection,
         index,
         sim,
         alpha=0.6,
-        num_partitions=partitions,
+        shards=partitions,
         config=FilterConfig.koios(iub_mode="safe"),
     )
     oracle = BruteForceSearcher(collection, sim, alpha=0.6)

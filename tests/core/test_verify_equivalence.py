@@ -39,8 +39,14 @@ from repro.core.fastpath_verify import (
 )
 from repro.core.postprocessing import postprocess
 from repro.index import InvertedIndex, token_table_for
+from repro.service.pool import merge_results
 from repro.utils.rng import make_rng
-from tests.core.refinement_oracle import ENGINES, refine, survivors_of
+from tests.core.refinement_oracle import (
+    ENGINES,
+    POOLS,
+    refine,
+    survivors_of,
+)
 
 K = 10
 ALPHAS = (0.7, 0.9)
@@ -201,28 +207,46 @@ class TestDifferentialSweep:
 
 class TestPartitionedAndBudgeted:
     def test_three_partitions_share_one_threshold(self, tiny_opendata):
-        """The sweep's comparison on a 3-partition engine: partitions
-        run one after another against one shared ``theta_lb``, so later
-        partitions verify against a threshold earlier ones raised."""
-        engines = {
-            engine: build(tiny_opendata, engine, num_partitions=3)
+        """The sweep's comparison on a 3-shard pool (§VI's partitions):
+        shards run one after another against one shared ``theta_lb``,
+        so later shards verify against a threshold earlier ones raised.
+        The shard engines are driven directly, one stream drained by the
+        first, so No-EM accepts are compared raw (bounds, not
+        resolved scores)."""
+        pools = {
+            engine: POOLS[engine](
+                tiny_opendata.collection,
+                tiny_opendata.index,
+                tiny_opendata.sim,
+                alpha=0.8,
+                shards=3,
+            )
             for engine in ("reference", "columnar")
         }
-        assert engines["columnar"].num_partitions == 3
+        assert pools["columnar"].num_shards == 3
         pruned_by_shared = 0
         for seed in SEEDS:
             for alpha in ALPHAS:
                 for query in sweep_queries(tiny_opendata.collection, seed):
                     context = (seed, alpha, sorted(query)[:3])
                     outcomes = {}
-                    for engine, built in engines.items():
+                    for engine, pool in pools.items():
+                        shards = pool._engines
+                        stream = shards[0].drain(query, alpha=alpha)
                         shared = RecordingThreshold()
-                        result = built.search(
-                            query,
+                        result = merge_results(
+                            [
+                                shard.search(
+                                    query,
+                                    K,
+                                    alpha=alpha,
+                                    resolve_scores=False,
+                                    stream=stream,
+                                    shared_threshold=shared,
+                                )
+                                for shard in shards
+                            ],
                             K,
-                            alpha=alpha,
-                            resolve_scores=False,
-                            shared_threshold=shared,
                         )
                         outcomes[engine] = (
                             [entry_tuple(e) for e in result.entries],

@@ -107,26 +107,21 @@ class TestPartitioning:
         )
 
     def test_sub_split_of_a_partition_uses_its_own_stream(self):
-        """``partition(N)[i]`` then ``partition(N, within=...)`` with the
-        same seed: re-using the first-level draw would send the whole
-        slice to sub-shard ``i``."""
+        """``partition(N)[i]`` split again into ``N`` by the nested draw
+        (how a worker's pool shards its partition), with the same seed:
+        re-using the first-level draw would send the whole slice to
+        sub-shard ``i``."""
         collection = SetCollection([{f"t{i}"} for i in range(400)])
         for workers in (2, 3, 4):
+            nested = collection.slot_assignment(workers, nested=True)
             for index, owned in enumerate(collection.partition(workers)):
-                sub = collection.partition(workers, within=owned)
+                sub = [
+                    [i for i in owned if nested[i] == part]
+                    for part in range(workers)
+                ]
                 assert sorted(i for part in sub for i in part) == owned
                 assert all(len(part) > len(owned) // (4 * workers)
                            for part in sub), (workers, index)
-
-    def test_within_is_validated(self):
-        collection = SetCollection([{f"t{i}"} for i in range(10)])
-        with pytest.raises(InvalidParameterError, match="out of range: 10"):
-            collection.partition(2, within=[1, 10])
-        with pytest.raises(InvalidParameterError, match="out of range: -1"):
-            collection.partition(2, within=[-1])
-        with pytest.raises(InvalidParameterError, match="duplicate"):
-            collection.partition(2, within=[3, 3, 5])
-        assert collection.partition(1, within=[4, 2]) == [[4, 2]]
 
     def test_subset(self):
         collection = SetCollection(

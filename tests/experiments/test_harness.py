@@ -14,6 +14,7 @@ from repro.experiments import (
     summarize,
 )
 from repro.experiments.harness import QueryRecord
+from repro.service import EnginePool
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +28,8 @@ class TestBuildStack:
         assert stack.collection is stack.dataset.collection
 
     def test_engine_factory(self, stack):
-        engine = stack.engine(alpha=0.8, num_partitions=2)
-        assert engine.num_partitions <= 2
+        engine = stack.engine(alpha=0.8)
+        assert engine.num_sets == len(stack.collection)
         assert engine.alpha == 0.8
 
     def test_engine_accepts_config(self, stack):
@@ -137,7 +138,9 @@ class TestParallelSeconds:
 
         bench = QueryBenchmark.uniform(stack.collection, 2, seed=5)
         records = run_benchmark(
-            koios_search_fn(stack.engine(num_partitions=3)),
+            koios_search_fn(EnginePool(
+                stack.collection, stack.index, stack.sim, shards=3
+            )),
             bench, 2, method="koios", dataset_name="twitter",
         )
         for record in records:

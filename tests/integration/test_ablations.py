@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import FilterConfig
 from repro.datasets import QueryBenchmark
+from repro.service import EnginePool
 from tests.conftest import assert_same_scores
 
 ABLATIONS = {
@@ -77,7 +78,10 @@ class TestFiltersReduceWork:
         bench = QueryBenchmark.by_quantiles(
             tiny_wdc.collection, 3, 2, seed=4
         )
-        engine = tiny_wdc.engine(alpha=0.8, num_partitions=3)
+        engine = EnginePool(
+            tiny_wdc.collection, tiny_wdc.index, tiny_wdc.sim,
+            alpha=0.8, shards=3,
+        )
         oracle = tiny_oracles["wdc"]
         for _, _, tokens in bench:
             assert_same_scores(

@@ -8,6 +8,7 @@ from repro.baselines import ExhaustiveBaseline
 from repro.core import FilterConfig, KoiosSearchEngine
 from repro.datasets import QueryBenchmark, SetCollection
 from repro.index import ExactJaccardIndex
+from repro.service import EnginePool
 from repro.sim import QGramJaccardSimilarity
 from tests.conftest import assert_same_scores
 
@@ -30,7 +31,13 @@ class TestAllProfilesMatchOracle:
     @pytest.mark.parametrize("partitions", [2, 5])
     def test_partitioned_matches_single(self, tiny_opendata, partitions):
         single = tiny_opendata.engine(alpha=0.8)
-        multi = tiny_opendata.engine(alpha=0.8, num_partitions=partitions)
+        multi = EnginePool(
+            tiny_opendata.collection,
+            tiny_opendata.index,
+            tiny_opendata.sim,
+            alpha=0.8,
+            shards=partitions,
+        )
         for qid in (1, 17, 40):
             query = tiny_opendata.collection[qid]
             assert_same_scores(
@@ -48,25 +55,6 @@ class TestAllProfilesMatchOracle:
             assert_same_scores(
                 safe.search(query, k=4).scores(),
                 paper.search(query, k=4).scores(),
-            )
-
-    def test_parallel_partitions_match_sequential(self, tiny_wdc):
-        from repro.core import KoiosSearchEngine
-
-        sequential = tiny_wdc.engine(alpha=0.8, num_partitions=4)
-        parallel = KoiosSearchEngine(
-            tiny_wdc.collection,
-            tiny_wdc.index,
-            tiny_wdc.sim,
-            alpha=0.8,
-            num_partitions=4,
-            parallel_partitions=True,
-        )
-        for qid in (2, 21):
-            query = tiny_wdc.collection[qid]
-            assert_same_scores(
-                parallel.search(query, k=5).scores(),
-                sequential.search(query, k=5).scores(),
             )
 
     def test_many_to_one_upper_bounds_koios(self, tiny_opendata):

@@ -1,14 +1,16 @@
 """Tests for the sharded engine pool.
 
-The pool's contract mirrors the engine's §VI partitioned mode: merged
-score vectors are byte-identical to the single-engine answer; result
-*membership* may differ only among sets tied at the k-th score (an
-inherent degree of freedom the seed engine's own ``num_partitions > 1``
-mode exhibits too).
+The pool is §VI's partitioned search (its shards are the paper's random
+partitions sharing one ``theta_lb``): merged score vectors are
+byte-identical to the single-engine answer; result *membership* may
+differ only among sets tied at the k-th score (an inherent degree of
+freedom of any split of the repository).
 """
 
 import pytest
 
+from repro.core import KoiosSearchEngine
+from repro.core.stats import REFINEMENT
 from repro.datasets import SetCollection
 from repro.errors import InvalidParameterError
 from repro.service import EnginePool
@@ -61,28 +63,32 @@ class TestEnginePool:
         for query in queries:
             assert_same_topk(pool.search(query, K), engine.search(query, K))
 
-    def test_parallel_shards_match_serial_scores(self, tiny_opendata, queries):
-        serial = EnginePool(
-            tiny_opendata.collection,
-            tiny_opendata.index,
-            tiny_opendata.sim,
-            alpha=0.8,
-            shards=3,
-        )
-        parallel = EnginePool(
-            tiny_opendata.collection,
-            tiny_opendata.index,
-            tiny_opendata.sim,
-            alpha=0.8,
-            shards=3,
-            parallel_shards=True,
-        )
-        try:
-            for query in queries[:8]:
-                assert parallel.search(query, K).scores() == \
-                    serial.search(query, K).scores()
-        finally:
-            parallel.shutdown()
+    def test_parallel_shards_match_serial_scores(
+        self, tiny_opendata, tiny_wdc, queries
+    ):
+        cases = [
+            (tiny_opendata, 3, K, queries[:8]),
+            # A second profile and shard count.
+            (tiny_wdc, 4, 5, [tiny_wdc.collection[i] for i in (2, 21)]),
+        ]
+        for stack, shards, k, case_queries in cases:
+            serial, parallel = (
+                EnginePool(
+                    stack.collection,
+                    stack.index,
+                    stack.sim,
+                    alpha=0.8,
+                    shards=shards,
+                    parallel_shards=parallel_shards,
+                )
+                for parallel_shards in (False, True)
+            )
+            try:
+                for query in case_queries:
+                    assert parallel.search(query, k).scores() == \
+                        serial.search(query, k).scores()
+            finally:
+                parallel.shutdown()
 
     def test_shared_drain_matches_per_search_drain(self, tiny_opendata, queries):
         pool = EnginePool(
@@ -98,6 +104,29 @@ class TestEnginePool:
         without = pool.search(query, K)
         assert with_stream.ids() == without.ids()
         assert with_stream.scores() == without.scores()
+
+    def test_own_drain_is_timed_as_refinement(self, tiny_opendata, queries):
+        """A search that drains its own stream counts the drain in the
+        merged refinement time, as an engine does; a replayed stream
+        adds nothing beyond the shards' own work."""
+        pool = EnginePool(
+            tiny_opendata.collection,
+            tiny_opendata.index,
+            tiny_opendata.sim,
+            alpha=0.8,
+            shards=2,
+        )
+
+        def outside_shards(result):
+            shard_work = sum(
+                p.timer.seconds(REFINEMENT) for p in result.partition_stats
+            )
+            return result.stats.timer.seconds(REFINEMENT) - shard_work
+
+        query = queries[0]
+        replayed = pool.search(query, K, stream=pool.drain(query))
+        assert outside_shards(replayed) == pytest.approx(0.0, abs=1e-12)
+        assert outside_shards(pool.search(query, K)) > 0.0
 
     def test_per_call_alpha_override(self, tiny_opendata, queries):
         engine = tiny_opendata.engine(alpha=0.9)
@@ -162,7 +191,12 @@ class TestEnginePool:
             )
         with pytest.raises(InvalidParameterError):
             # duplicate shard ids would corrupt posting lists
-            tiny_opendata.collection.partition(2, within=[3, 3, 5])
+            KoiosSearchEngine(
+                tiny_opendata.collection,
+                tiny_opendata.index,
+                tiny_opendata.sim,
+                set_ids=[3, 3, 5],
+            )
         with pytest.raises(InvalidParameterError):
             EnginePool(
                 tiny_opendata.collection,

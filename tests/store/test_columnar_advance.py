@@ -267,7 +267,7 @@ class TestPoolAdvances:
     def contexts(pool):
         out = []
         for engine in pool._engines:
-            table, (partition,) = engine._columnar_ctx
+            table, partition = engine._columnar_ctx
             out.append(
                 (
                     table.tokens,

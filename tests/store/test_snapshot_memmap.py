@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import FilterConfig
-from repro.core.koios import KoiosSearchEngine
 from repro.datasets import SetCollection
 from repro.errors import InvalidParameterError, SnapshotError
 from repro.index import InvertedIndex
 from repro.index.interning import TokenTable, csr_from_index
+from repro.service import EnginePool
 from repro.store import (
     MutableSetCollection,
     SnapshotSetCollection,
@@ -142,12 +142,12 @@ class TestBitwiseEquivalence:
         for mmap in (True, False):
             loaded = load_snapshot(snap_path, mmap=mmap)
             engines.append(
-                KoiosSearchEngine(
+                EnginePool(
                     loaded.collection,
                     loaded.token_index,
                     loaded.sim,
                     alpha=0.7,
-                    num_partitions=partitions,
+                    shards=partitions,
                     config=FilterConfig.koios(),
                     inverted_factory=loaded.inverted_factory(),
                 )
