@@ -35,6 +35,7 @@ from repro.index.vector_index import ExactCosineIndex
 from repro.service import EnginePool
 from repro.sim.cosine import CosineSimilarity
 from repro.store import load_snapshot, save_snapshot
+from repro.store.mutation import INSERT, Mutation
 from repro.utils.rng import make_rng
 
 NUM_SETS = 50_000
@@ -155,7 +156,7 @@ def test_snapshot_coldstart_vs_json_reindex(corpus_paths, report, benchmark):
     for round_id in range(UPDATE_ROUNDS):
         tokens = sorted(probe)[:3] + [f"hot_token_{round_id}"]
         started = time.perf_counter()
-        pool.insert(tokens, name=f"hot_{round_id}")
+        pool.mutate(Mutation(INSERT, f"hot_{round_id}", tokens))
         pool.search(probe, K)
         incremental_seconds.append(time.perf_counter() - started)
     incremental_update = min(incremental_seconds)

@@ -25,10 +25,9 @@ failure-semantics guarantees.
 """
 
 from repro.cluster.coordinator import ClusterPool
-from repro.cluster.messages import WorkerSpec, mutation_record
+from repro.cluster.messages import WorkerSpec
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.worker import (
-    apply_mutation,
     bootstrap,
     substrate_from_descriptor,
     worker_main,
@@ -38,9 +37,7 @@ __all__ = [
     "ClusterMetrics",
     "ClusterPool",
     "WorkerSpec",
-    "apply_mutation",
     "bootstrap",
-    "mutation_record",
     "substrate_from_descriptor",
     "worker_main",
 ]

@@ -23,12 +23,13 @@ redundant filtering for zero cross-process chatter during a query.
 Replication
 -----------
 Mutations are applied to the coordinator's local replica first (which
-assigns the authoritative id/name and validates), then shipped to every
-worker as a WAL record and acknowledged under a **version barrier**: the
-mutation call does not return until every live worker reports the
-coordinator's exact post-mutation version, and every query carries the
-version it expects, which workers verify before searching. A query can
-therefore never observe a half-applied mutation across partitions.
+validates and assigns the authoritative id/name), then shipped to every
+worker as the name-keyed ``Mutation.to_obj()`` record the WAL also logs,
+and acknowledged under a **version barrier**: the mutation call does not
+return until every live worker reports the coordinator's exact
+post-mutation version, and every query carries the version it expects,
+which workers verify before searching. A query can therefore never
+observe a half-applied mutation across partitions.
 
 Failure handling
 ----------------
@@ -76,7 +77,6 @@ from repro.cluster.messages import (
     WorkerSpec,
     encode_stream,
     encode_trace,
-    mutation_record,
 )
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.replication import PartitionGroup, RetryPolicy
@@ -96,13 +96,10 @@ from repro.index.base import TokenIndex
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import current_context, get_tracer, trace_config
 from repro.obs.accounting import ResourceLedger
-from repro.service.backend import (
-    materialize_stream,
-    require_mutable,
-    resolve_alpha,
-)
+from repro.core.fastpath import materialize_stream, resolve_alpha
 from repro.service.pool import merge_results
 from repro.sim.base import SimilarityFunction
+from repro.store.mutation import Mutation, apply_mutation
 from repro.utils.timer import Stopwatch
 
 
@@ -316,9 +313,9 @@ class ClusterPool:
         (required for in-memory shipping; optional when the snapshot
         embeds one).
     bootstrap_records:
-        WAL records (dicts or :class:`~repro.store.wal.WalRecord`) to
-        apply on top of the base before serving — the cluster analogue
-        of ``repro serve``'s WAL replay on start.
+        Mutations (:class:`~repro.store.mutation.Mutation`) to apply
+        on top of the base before serving — the cluster analogue of
+        ``repro serve``'s WAL replay on start.
     start_method:
         ``multiprocessing`` start method; the default ``spawn`` is the
         portable, thread-safe choice and the one the test-suite pins.
@@ -342,7 +339,7 @@ class ClusterPool:
         snapshot_path: str | None = None,
         verify_snapshot: bool = True,
         substrate: dict[str, Any] | None = None,
-        bootstrap_records: Iterable[Any] | None = None,
+        bootstrap_records: Iterable[Mutation] | None = None,
         start_method: str = "spawn",
         request_timeout: float = 120.0,
         bootstrap_timeout: float = 120.0,
@@ -472,8 +469,13 @@ class ClusterPool:
             daemon=True,
         )
         try:
-            for record in bootstrap_records or ():
-                self._apply_bootstrap_record(record)
+            # Applied before the workers spawn: they receive these
+            # through bootstrap replay, not a live broadcast.
+            for mutation in bootstrap_records or ():
+                _, named = apply_mutation(
+                    self._collection, mutation, self._token_index
+                )
+                self._record(named)
             for handle in self._handles:
                 hello = handle.spawn()
                 self._check_version(hello["version"], "bootstrap")
@@ -516,62 +518,13 @@ class ClusterPool:
                 verify_snapshot=False,
             )
 
-    def _apply_local(
-        self, op: str, ref: int | str | None, tokens: Any
-    ) -> tuple[int, dict[str, Any]]:
-        """Apply one mutation to the coordinator replica; returns
-        ``(set_id, record)`` with the record carrying the authoritative
-        (possibly auto-assigned) name. The single local-apply path for
-        both live mutations and bootstrap replay, so the replayed
-        history can never diverge from what the live fleet applied."""
-        collection = self._mutable_collection()
-        extend = getattr(self._token_index, "extend", None)
-        if op == "insert":
-            members = frozenset(tokens)
-            if extend is not None:
-                extend(members)
-            set_id = collection.insert(
-                members, name=ref if isinstance(ref, str) else None
-            )
-            return set_id, mutation_record(
-                "insert", collection.name_of(set_id), tuple(members)
-            )
-        if op == "delete":
-            assert ref is not None
-            name = ref if isinstance(ref, str) else collection.name_of(ref)
-            return collection.delete(ref), mutation_record(
-                "delete", name, None
-            )
-        if op == "replace":
-            assert ref is not None
-            members = frozenset(tokens)
-            name = ref if isinstance(ref, str) else collection.name_of(ref)
-            if extend is not None:
-                extend(members)
-            return collection.replace(ref, members), mutation_record(
-                "replace", name, tuple(members)
-            )
-        raise ClusterError(f"unknown mutation op: {op!r}")
-
-    def _apply_bootstrap_record(self, record: Any) -> None:
-        """Apply one pre-serving record to the coordinator replica and
-        the history (workers have not spawned yet — they receive these
-        through bootstrap replay, not a live broadcast)."""
-        if hasattr(record, "op"):  # WalRecord
-            record = {
-                "op": record.op,
-                "name": record.name,
-                **(
-                    {"tokens": list(record.tokens)}
-                    if record.tokens is not None
-                    else {}
-                ),
-            }
-        _, replicated = self._apply_local(
-            record.get("op"), record.get("name"), record.get("tokens")
-        )
-        self._history.append(replicated)
+    def _record(self, named: Mutation) -> dict[str, Any]:
+        """Append one applied mutation to the replicated history (with
+        the version it leaves the coordinator at); returns its record."""
+        record = named.to_obj()
+        self._history.append(record)
         self._history_versions.append(self._live_version())
+        return record
 
     def _live_version(self) -> int:
         return getattr(self._collection, "version", 0)
@@ -989,40 +942,19 @@ class ClusterPool:
 
     # -- mutation ----------------------------------------------------------
 
-    def _mutable_collection(self):
-        return require_mutable(self._collection)
-
-    def insert(
-        self, tokens: Iterable[str], *, name: str | None = None
-    ) -> int:
-        """Insert locally, then replicate under the version barrier."""
+    def mutate(self, mutation: Mutation) -> tuple[int, Mutation]:
+        """Apply locally (which resolves, validates and assigns the
+        authoritative id and name), then replicate under the version
+        barrier; returns the set id and the name-keyed mutation."""
         with self._lock:
             self._ensure_open()
             if self._fault_injector is not None:
                 self._fault_injector.begin_op(self)
-            set_id, record = self._apply_local("insert", name, tokens)
-            self._replicate(record)
-        return set_id
-
-    def delete(self, ref: int | str) -> int:
-        """Delete locally, then replicate under the version barrier."""
-        with self._lock:
-            self._ensure_open()
-            if self._fault_injector is not None:
-                self._fault_injector.begin_op(self)
-            set_id, record = self._apply_local("delete", ref, None)
-            self._replicate(record)
-        return set_id
-
-    def replace(self, ref: int | str, tokens: Iterable[str]) -> int:
-        """Replace locally, then replicate under the version barrier."""
-        with self._lock:
-            self._ensure_open()
-            if self._fault_injector is not None:
-                self._fault_injector.begin_op(self)
-            set_id, record = self._apply_local("replace", ref, tokens)
-            self._replicate(record)
-        return set_id
+            set_id, named = apply_mutation(
+                self._collection, mutation, self._token_index
+            )
+            self._replicate(self._record(named))
+        return set_id, named
 
     def _replicate(self, record: dict[str, Any]) -> None:
         """Ship one applied mutation to every worker and barrier on it.
@@ -1032,10 +964,8 @@ class ClusterPool:
         applies the record exactly once (its restart hello is version-
         checked in place of an ACK).
         """
-        self._history.append(record)
         self._mutations += 1
         expected = self._live_version()
-        self._history_versions.append(expected)
         payload = {"record": record, "version": expected}
         pending: list[tuple[PartitionGroup, _WorkerHandle]] = []
         failed: list[tuple[PartitionGroup, _WorkerHandle]] = []

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import InvalidParameterError
+from repro.store.mutation import DELETE, INSERT, REPLACE, Mutation
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -281,16 +282,17 @@ class FaultInjector:
 
 def chaos_ops(
     rng, base: "SetCollection", count: int, *, alphas=(0.7, 0.9)
-) -> list[tuple]:
+) -> list:
     """A feasible randomized op mix (the 110-op equivalence shape):
-    ~half queries alternating ``alphas``, ~half mutations touching only
+    ~half queries (``("query", tokens, alpha)``) alternating ``alphas``,
+    ~half :class:`~repro.store.mutation.Mutation` values touching only
     live names."""
     live = [base.name_of(i) for i in base.ids()]
     vocab_pool = sorted(base.vocabulary) + [
         f"fresh_token_{i}" for i in range(80)
     ]
     queries = [frozenset(base[i]) for i in base.ids()]
-    ops: list[tuple] = []
+    ops: list = []
     fresh = 0
     alpha_flip = 0
     for _ in range(count):
@@ -315,11 +317,11 @@ def chaos_ops(
                 str(t)
                 for t in rng.choice(vocab_pool, size=size, replace=False)
             )
-            ops.append(("insert", name, tokens))
+            ops.append(Mutation(INSERT, name, tokens))
             live.append(name)
         elif roll < 0.9:
             name = str(live.pop(int(rng.integers(len(live)))))
-            ops.append(("delete", name, None))
+            ops.append(Mutation(DELETE, name))
         else:
             name = str(live[int(rng.integers(len(live)))])
             size = int(rng.integers(1, 8))
@@ -327,7 +329,7 @@ def chaos_ops(
                 str(t)
                 for t in rng.choice(vocab_pool, size=size, replace=False)
             )
-            ops.append(("replace", name, tokens))
+            ops.append(Mutation(REPLACE, name, tokens))
     return ops
 
 
@@ -400,9 +402,13 @@ def run_chaos(
             for position, op in enumerate(workload):
                 injector.settle(cluster, request_timeout)
                 watch_started = time.monotonic()
-                kind = op[0]
+                kind = getattr(op, "op", "query")
                 try:
-                    if kind == "query":
+                    if isinstance(op, Mutation):
+                        mutations += 1
+                        cluster.mutate(op)
+                        baseline.mutate(op)
+                    else:
                         _, query, alpha = op
                         queries += 1
                         got = cluster.search(query, k, alpha=alpha)
@@ -419,21 +425,6 @@ def run_chaos(
                                 f"op {position}: non-degraded result "
                                 f"diverged from baseline"
                             )
-                    elif kind == "insert":
-                        _, name, tokens = op
-                        mutations += 1
-                        cluster.insert(tokens, name=name)
-                        baseline.insert(tokens, name=name)
-                    elif kind == "delete":
-                        _, name, _ = op
-                        mutations += 1
-                        cluster.delete(name)
-                        baseline.delete(name)
-                    else:
-                        _, name, tokens = op
-                        mutations += 1
-                        cluster.replace(name, tokens)
-                        baseline.replace(name, tokens)
                 except Exception as exc:  # noqa: BLE001 — report, not die
                     failures.append(
                         f"op {position} ({kind}): "

@@ -7,11 +7,11 @@ payload is built from picklable primitives, dataclasses, and the core
 result types — nothing that captures a live engine, lock, or file
 handle, which is what keeps the protocol spawn-safe.
 
-Mutations travel as **WAL record dicts** — the same
-``{"op", "name", "tokens"}`` shape :mod:`repro.store.wal` persists.
-One representation serves three jobs: durable logging on the
-coordinator, live replication to workers, and replay when a crashed
-worker re-bootstraps.
+Mutations travel as ``Mutation.to_obj()`` dicts
+(:class:`~repro.store.mutation.Mutation`) — the same ``{"op", "name",
+"tokens"}`` body :mod:`repro.store.wal` persists. One representation serves three jobs:
+durable logging on the coordinator, live replication to workers, and
+replay when a crashed worker re-bootstraps.
 """
 
 from __future__ import annotations
@@ -144,16 +144,6 @@ def decode_trace(payload: dict[str, Any] | None) -> SpanContext | None:
     carried; tolerant of absent/malformed input (tracing must never
     fail a search)."""
     return SpanContext.from_wire(payload)
-
-
-def mutation_record(
-    op: str, name: str, tokens: tuple[str, ...] | None
-) -> dict[str, Any]:
-    """One replicated mutation, in WAL-record shape."""
-    record: dict[str, Any] = {"op": op, "name": name}
-    if tokens is not None:
-        record["tokens"] = sorted(tokens)
-    return record
 
 
 def ping_reply(version: int, uptime_seconds: float) -> dict[str, Any]:

@@ -51,6 +51,7 @@ from repro.obs import Stopwatch, configure_from, get_tracer
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import EnginePool
 from repro.store.mutable import MutableSetCollection
+from repro.store.mutation import Mutation
 
 
 def substrate_from_descriptor(
@@ -78,24 +79,6 @@ def substrate_from_descriptor(
         return build_substrate(descriptor, vocabulary)
     except SnapshotError as exc:
         raise ClusterError(str(exc)) from exc
-
-
-def apply_mutation(pool: EnginePool, record: dict[str, Any]) -> int:
-    """Apply one WAL-shaped record through the pool's mutation path.
-
-    Used for both live replication and bootstrap replay, so a restarted
-    worker reconstructs state through *exactly* the code path the live
-    fleet used — identical token-index extends, id assignment, and
-    version bumps.
-    """
-    op = record.get("op")
-    if op == "insert":
-        return pool.insert(record["tokens"], name=record["name"])
-    if op == "delete":
-        return pool.delete(record["name"])
-    if op == "replace":
-        return pool.replace(record["name"], record["tokens"])
-    raise ClusterError(f"unknown mutation op: {op!r}")
 
 
 @dataclass
@@ -163,8 +146,11 @@ def bootstrap(spec: WorkerSpec) -> WorkerState:
         config=spec.config,
         partition=(spec.worker_id, spec.num_workers),
     )
+    # Bootstrap replay and live replication apply records through the
+    # same pool.mutate, so a restarted worker reconstructs state through
+    # exactly the path the live fleet used.
     for record in spec.history:
-        apply_mutation(pool, record)
+        pool.mutate(Mutation.from_obj(record))
     return WorkerState(spec=spec, pool=pool, metrics=ServiceMetrics())
 
 
@@ -216,7 +202,7 @@ def _handle_search(state: WorkerState, payload: dict[str, Any]) -> Any:
 def _handle_mutate(
     state: WorkerState, payload: dict[str, Any]
 ) -> dict[str, Any]:
-    set_id = apply_mutation(state.pool, payload["record"])
+    set_id, _ = state.pool.mutate(Mutation.from_obj(payload["record"]))
     check_version(
         state.effective_version,
         payload["version"],

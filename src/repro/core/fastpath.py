@@ -122,6 +122,7 @@ from repro.index.interning import (
     csr_advance,
     csr_from_index,
     posting_slices,
+    token_table_for,
 )
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import annotate
@@ -374,6 +375,45 @@ def drain_stream(
         token_index,
         alpha,
         collection_vocabulary=vocabulary,
+    )
+
+
+def resolve_alpha(
+    default_alpha: float, alpha: float | None, token_index
+) -> float:
+    """Resolve a per-call alpha against the default, refusing
+    thresholds the token index cannot serve exactly (a prefix-Jaccard
+    index built for alpha_0 silently drops matches below alpha_0 — that
+    must be a loud error, not missing results). Every engine and every
+    backend resolves through here, so validation can never drift
+    between them."""
+    effective = default_alpha if alpha is None else alpha
+    if not (0.0 < effective <= 1.0):
+        raise InvalidParameterError("alpha must be in (0, 1]")
+    index_alpha = getattr(token_index, "alpha", None)
+    if index_alpha is not None and effective < index_alpha:
+        raise InvalidParameterError(
+            f"token index is only exact for alpha >= {index_alpha}; "
+            f"rebuild it for alpha {effective} to search below that"
+        )
+    return effective
+
+
+def materialize_stream(
+    token_index,
+    collection,
+    query_set: frozenset[str],
+    alpha: float,
+) -> MaterializedTokenStream:
+    """Drain one replayable stream over the collection's vocabulary —
+    the exact drain every engine, backend and cluster worker performs,
+    kept in one place so replicas can never drain differently."""
+    return drain_stream(
+        query_set,
+        token_index,
+        alpha,
+        vocabulary=collection.vocabulary,
+        table=token_table_for(collection),
     )
 
 

@@ -24,8 +24,9 @@ import numpy as np
 from repro.core.config import FilterConfig
 from repro.core.fastpath import (
     ColumnarPartition,
-    drain_stream,
+    materialize_stream,
     refine_columnar,
+    resolve_alpha,
     sim_cache_from_stream,
 )
 from repro.core.fastpath_verify import (
@@ -272,20 +273,12 @@ class KoiosSearchEngine:
         query_set = frozenset(query)
         if not query_set:
             raise EmptyQueryError("query set is empty")
-        return drain_stream(
-            query_set,
+        return materialize_stream(
             self._token_index,
-            self._check_alpha(alpha),
-            vocabulary=self._collection.vocabulary,
-            table=token_table_for(self._collection),
+            self._collection,
+            query_set,
+            resolve_alpha(self._alpha, alpha, self._token_index),
         )
-
-    def _check_alpha(self, alpha: float | None) -> float:
-        if alpha is None:
-            return self._alpha
-        if not (0.0 < alpha <= 1.0):
-            raise InvalidParameterError("alpha must be in (0, 1]")
-        return alpha
 
     def search(
         self,
@@ -332,7 +325,7 @@ class KoiosSearchEngine:
         if not query_set:
             raise EmptyQueryError("query set is empty")
         check_k(k)
-        alpha = self._check_alpha(alpha)
+        alpha = resolve_alpha(self._alpha, alpha, self._token_index)
 
         stats = SearchStats()
         deadline = (

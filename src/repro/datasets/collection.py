@@ -74,27 +74,6 @@ class SetCollection:
         names = list(mapping.keys())
         return cls([mapping[name] for name in names], names=names)
 
-    @classmethod
-    def from_parts(
-        cls,
-        sets: list[frozenset[str]],
-        names: list[str],
-        vocabulary: set[str],
-    ) -> "SetCollection":
-        """Adopt pre-validated parts without re-freezing or re-unioning.
-
-        The snapshot loader has already materialized frozensets, aligned
-        names, and the exact vocabulary; re-running ``__init__``'s
-        normalization would double the cold-start cost for nothing. The
-        caller guarantees the invariants ``__init__`` enforces (no empty
-        sets, aligned names, vocabulary == union of sets).
-        """
-        collection = cls.__new__(cls)
-        collection._sets = sets
-        collection._names = names
-        collection._vocabulary = vocabulary
-        return collection
-
     # -- container protocol --------------------------------------------------
 
     def __len__(self) -> int:

@@ -165,17 +165,6 @@ def posting_slices(
     return owner, positions
 
 
-def csr_from_lengths(
-    lengths: np.ndarray, members: np.ndarray
-) -> CSRPostings:
-    """Adopt snapshot-style ``(per-token lengths, flat members)`` arrays."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return CSRPostings(
-        offsets=offsets, sets=np.ascontiguousarray(members, dtype=np.int64)
-    )
-
-
 def csr_restrict(csr: CSRPostings, keep: np.ndarray) -> CSRPostings:
     """``csr`` restricted to the set ids flagged in the bool mask ``keep``.
 

@@ -11,9 +11,9 @@ Two adoption paths avoid the build entirely:
   (``own=True`` skips even the defensive copy when the caller hands over
   freshly built lists it never reuses);
 * :meth:`InvertedIndex.from_csr` adopts snapshot-style CSR arrays
-  verbatim — the dict-of-lists view is *never* materialized unless a
-  dict consumer (the baselines, snapshot save) actually asks, which
-  is what keeps memmap-backed cold starts allocation-free.
+  verbatim — no dict-of-lists view is ever built over them (lookups
+  slice the arrays), which is what keeps memmap-backed cold starts
+  allocation-free.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.index.interning import (
     CSRPostings,
     TokenTable,
     csr_from_index,
-    csr_from_lengths,
 )
 
 
@@ -96,10 +95,9 @@ class InvertedIndex:
         token table) without materializing any per-token Python lists.
 
         This is the snapshot cold-start path: the columnar engine asks
-        for :meth:`columnar` and gets ``csr`` back verbatim; dict-style
-        consumers (``sets_containing``, :meth:`postings`) slice lists
-        out of the arrays lazily. ``tokens`` is adopted by reference —
-        do not mutate it afterwards.
+        for :meth:`columnar` and gets ``csr`` back verbatim;
+        :meth:`sets_containing` slices lists out of the arrays lazily.
+        ``tokens`` is adopted by reference — do not mutate it afterwards.
         """
         index = cls.__new__(cls)
         index._postings = None
@@ -109,25 +107,12 @@ class InvertedIndex:
         index._csr_token_ids = None
         return index
 
-    def adopt_csr(self, tokens: list[str], lengths, members) -> None:
-        """Pre-seed the columnar view from snapshot arrays.
-
-        ``tokens`` is the sorted token table the ``lengths``/``members``
-        arrays are aligned to (the snapshot's token section);
-        :meth:`columnar` hands these arrays out directly when asked for
-        a matching table, skipping the Python CSR-building pass on the
-        snapshot cold-start path.
-        """
-        self._adopted_csr = (list(tokens), csr_from_lengths(lengths, members))
-        self._csr_token_ids = None
-
     def columnar(self, table: TokenTable) -> CSRPostings:
         """The CSR posting view aligned to ``table`` (cached).
 
         The index is immutable, so the view is built once per table; a
-        view adopted from a snapshot via :meth:`from_csr` /
-        :meth:`adopt_csr` is reused when its token section matches
-        ``table``.
+        view adopted from a snapshot via :meth:`from_csr` is reused when
+        its token section matches ``table``.
         """
         cached = self._csr_cache
         if cached is not None and cached[0] is table:
@@ -144,30 +129,11 @@ class InvertedIndex:
         self._csr_cache = (table, csr)
         return csr
 
-    def _postings_map(self) -> dict[str, list[int]]:
-        """The dict-of-lists view, materialized from the adopted CSR on
-        first dict-style access (the baselines, snapshot save)."""
-        if self._postings is None:
-            tokens, csr = self._adopted_csr  # type: ignore[misc]
-            offsets, sets = csr.offsets, csr.sets
-            self._postings = {
-                token: sets[offsets[i]:offsets[i + 1]].tolist()
-                for i, token in enumerate(tokens)
-                if offsets[i + 1] > offsets[i]
-            }
-        return self._postings
-
     def _token_ids(self) -> dict[str, int]:
         if self._csr_token_ids is None:
             tokens = self._adopted_csr[0]  # type: ignore[index]
             self._csr_token_ids = {t: i for i, t in enumerate(tokens)}
         return self._csr_token_ids
-
-    def postings(self) -> dict[str, list[int]]:
-        """A copy of the full ``token -> set ids`` map (snapshot save)."""
-        return {
-            token: list(ids) for token, ids in self._postings_map().items()
-        }
 
     def __contains__(self, token: str) -> bool:
         if self._postings is not None:
@@ -197,18 +163,14 @@ class InvertedIndex:
         return csr.sets[start:end].tolist()
 
     def nbytes(self) -> int:
-        """Estimated footprint: the adopted CSR arrays plus, once the
-        dict view exists, its table and each posting list's own table
-        (one flat pass; token strings and set-id ints belong to the
-        collection)."""
-        size = 0
-        if self._adopted_csr is not None:
-            size += self._adopted_csr[1].nbytes()
-        if self._postings is not None:
-            size += sys.getsizeof(self._postings) + sum(
-                map(sys.getsizeof, self._postings.values())
-            )
-        return size
+        """Estimated footprint: the adopted CSR arrays, or the dict's
+        table and each posting list's own table (one flat pass; token
+        strings and set-id ints belong to the collection)."""
+        if self._postings is None:
+            return self._adopted_csr[1].nbytes()  # type: ignore[index]
+        return sys.getsizeof(self._postings) + sum(
+            map(sys.getsizeof, self._postings.values())
+        )
 
     def stats(self) -> PostingStats:
         if self._postings is None:

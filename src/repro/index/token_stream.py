@@ -143,23 +143,12 @@ class MaterializedTokenStream:
         #: different version than it is about to search — the drained
         #: vocabulary filter would not match the live collection.
         self.version = version
-        # Lazy derived views (never pickled; see __getstate__):
-        # per-query-element tuple positions, and interned column arrays.
+        # Lazy derived views, process-local: per-query-element tuple
+        # positions, and column arrays keyed by the *identity* of a
+        # TokenTable. A stream crosses the cluster wire as primitives
+        # (``repro.cluster.messages.encode_stream``), never with these.
         self._positions: dict[str, "object"] | None = None
         self._columns: tuple[object, list[str], tuple] | None = None
-
-    # Derived caches are process-local: the position index is cheap to
-    # rebuild, and the column arrays are keyed by the *identity* of a
-    # TokenTable that does not travel with the stream (cluster
-    # coordinators ship drained streams to worker processes).
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_positions"] = None
-        state["_columns"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
     @classmethod
     def drain(

@@ -16,10 +16,13 @@ The contract is intentionally the *semantic* one, not a transport one:
   in-process :class:`~repro.service.pool.EnginePool` with the same
   shard layout (exactness is the product; no backend may trade it away
   silently);
-* mutations are applied synchronously — when ``insert``/``delete``/
-  ``replace`` returns, every subsequent ``search`` observes the new
-  state (cluster backends enforce this with a version barrier across
-  worker processes).
+* mutations arrive as one validated
+  :class:`~repro.store.mutation.Mutation` through ``mutate``, which
+  applies it with :func:`~repro.store.mutation.apply_mutation` — a
+  refused write changes nothing — and synchronously: when ``mutate``
+  returns, every subsequent ``search`` observes the new state (cluster
+  backends enforce this with a version barrier across worker
+  processes).
 """
 
 from __future__ import annotations
@@ -27,71 +30,13 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.core.koios import SearchResult
-from repro.datasets.collection import SetCollection
-from repro.errors import InvalidParameterError
 from repro.index.token_stream import MaterializedTokenStream
-
-
-def resolve_alpha(
-    default_alpha: float, alpha: float | None, token_index
-) -> float:
-    """Resolve a per-call alpha against the backend default, refusing
-    thresholds the token index cannot serve exactly (a prefix-Jaccard
-    index built for alpha_0 silently drops matches below alpha_0 — that
-    must be a loud error on the wire, not missing results). Shared by
-    every backend so validation can never drift between them."""
-    effective = default_alpha if alpha is None else alpha
-    if not (0.0 < effective <= 1.0):
-        raise InvalidParameterError("alpha must be in (0, 1]")
-    index_alpha = getattr(token_index, "alpha", None)
-    if index_alpha is not None and effective < index_alpha:
-        raise InvalidParameterError(
-            f"token index is only exact for alpha >= {index_alpha}; "
-            f"rebuild it for alpha {effective} to search below that"
-        )
-    return effective
-
-
-def require_mutable(collection: SetCollection):
-    """The collection, if it supports live mutation; loud otherwise."""
-    if not hasattr(collection, "insert"):
-        raise InvalidParameterError(
-            "collection is immutable; serve a MutableSetCollection "
-            "(e.g. 'repro serve <snapshot> --wal <log>') to enable "
-            "insert/delete/replace"
-        )
-    return collection
-
-
-def materialize_stream(
-    token_index,
-    collection: SetCollection,
-    query_set: frozenset[str],
-    alpha: float,
-) -> MaterializedTokenStream:
-    """Drain one replayable stream over the collection's vocabulary —
-    the exact drain every backend (and every cluster worker) performs,
-    kept in one place so replicas can never drain differently."""
-    from repro.core.fastpath import drain_stream
-    from repro.index.interning import token_table_for
-
-    return drain_stream(
-        query_set,
-        token_index,
-        alpha,
-        vocabulary=collection.vocabulary,
-        table=token_table_for(collection),
-    )
+from repro.store.mutation import Mutation
 
 
 @runtime_checkable
 class SearchBackend(Protocol):
     """What the scheduler and server require of a serving backend."""
-
-    @property
-    def collection(self) -> SetCollection:
-        """The live repository (used to resolve names for WAL records)."""
-        ...
 
     @property
     def alpha(self) -> float:
@@ -121,18 +66,9 @@ class SearchBackend(Protocol):
         """Exact global top-k for ``query``."""
         ...
 
-    def insert(
-        self, tokens: Iterable[str], *, name: str | None = None
-    ) -> int:
-        """Add a set to the live collection; returns its id."""
-        ...
-
-    def delete(self, ref: int | str) -> int:
-        """Remove a live set by id or name; returns the id."""
-        ...
-
-    def replace(self, ref: int | str, tokens: Iterable[str]) -> int:
-        """Swap a live set's contents; returns the new id."""
+    def mutate(self, mutation: Mutation) -> tuple[int, Mutation]:
+        """Apply one mutation to the live collection; returns the
+        affected set id and the name-keyed mutation to log."""
         ...
 
     def stats_snapshot(self) -> Mapping[str, object]:

@@ -216,7 +216,8 @@ def build_serving_stack(
             # applies prior mutations itself, so restarted workers can
             # reconstruct byte-identical state from base + history.
             bootstrap_records = tuple(
-                pending_records(wal, snapshot_manifest)
+                record.mutation
+                for record in pending_records(wal, snapshot_manifest)
             )
             replayed = len(bootstrap_records)
         pool = ClusterPool(

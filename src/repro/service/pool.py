@@ -29,6 +29,7 @@ from typing import Any, Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.core.config import FilterConfig
+from repro.core.fastpath import materialize_stream, resolve_alpha
 from repro.core.koios import (
     KoiosSearchEngine,
     ResultEntry,
@@ -43,12 +44,8 @@ from repro.index.base import TokenIndex
 from repro.index.interning import token_table_for
 from repro.index.token_stream import MaterializedTokenStream
 from repro.obs import Stopwatch, current_context, get_tracer, traced_phase
-from repro.service.backend import (
-    materialize_stream,
-    require_mutable,
-    resolve_alpha,
-)
 from repro.sim.base import SimilarityFunction
+from repro.store.mutation import Mutation, apply_mutation
 
 
 class ReadWriteLock:
@@ -376,43 +373,22 @@ class EnginePool:
 
     # -- mutation ----------------------------------------------------------
 
-    def _mutable_collection(self):
-        return require_mutable(self._collection)
-
-    def insert(
-        self, tokens: Iterable[str], *, name: str | None = None
-    ) -> int:
-        """Insert a set into the live collection; returns its id.
+    def mutate(self, mutation: Mutation) -> tuple[int, Mutation]:
+        """Apply one mutation to the live collection; returns the
+        affected set id and the name-keyed mutation.
 
         New tokens are appended to the token index's vector store (or
-        prefix index) so they stream immediately; shard engines hot-swap
-        on the next search.
+        prefix index) so they stream immediately — only after the
+        mutation resolved against live state, so a refused write leaves
+        the index as it was. Shard engines hot-swap on the next search.
         """
-        collection = self._mutable_collection()
-        members = frozenset(tokens)
         # Writers are exclusive: VectorStore.extend appends rows and row
         # ids non-atomically, and concurrent readers must never observe
         # a half-applied mutation (see ReadWriteLock).
         with self._lock.write():
-            extend = getattr(self._token_index, "extend", None)
-            if extend is not None:
-                extend(members)
-            return collection.insert(members, name=name)
-
-    def delete(self, ref: int | str) -> int:
-        """Delete a live set by id or name; returns the id."""
-        with self._lock.write():
-            return self._mutable_collection().delete(ref)
-
-    def replace(self, ref: int | str, tokens: Iterable[str]) -> int:
-        """Replace a live set's contents; returns the new id."""
-        collection = self._mutable_collection()
-        members = frozenset(tokens)
-        with self._lock.write():
-            extend = getattr(self._token_index, "extend", None)
-            if extend is not None:
-                extend(members)
-            return collection.replace(ref, members)
+            return apply_mutation(
+                self._collection, mutation, self._token_index
+            )
 
     # -- searching ---------------------------------------------------------
 

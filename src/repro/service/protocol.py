@@ -26,6 +26,8 @@ string::
     replace      "name" or "set_id", "tokens"
                  -> {"op": ..., "set_id": n, "version": v}; these three
                     need a mutable collection (snapshot input or --wal)
+                    and decode into one repro.store.mutation.Mutation;
+                    a refused one changes nothing
 
 Refusals, one shape each::
 
@@ -52,6 +54,7 @@ from repro.errors import ReproError
 from repro.obs.adapters import service_to_registry
 from repro.obs.prom import PromRegistry
 from repro.service.request import SearchRequest, SearchResponse
+from repro.store.mutation import OPS, Mutation
 
 #: Longest line any transport accepts, terminator included: room for a
 #: query of several hundred thousand tokens, small enough that one
@@ -166,41 +169,17 @@ def _flush(scheduler, obj: dict) -> dict:
 
 
 def _mutate(scheduler, obj: dict) -> dict:
-    op = obj["op"]
-    if "set_id" in obj:
-        ref: str | int = obj["set_id"]
-        if not isinstance(ref, int) or isinstance(ref, bool):
-            raise ReproError('"set_id" must be an integer')
-    elif isinstance(obj.get("name"), str):
-        ref = obj["name"]
-    else:
-        raise ReproError('mutation needs a "name" (or "set_id")')
-    tokens = obj.get("tokens")
-    if tokens is not None and (
-        not isinstance(tokens, list)
-        or any(not isinstance(t, str) for t in tokens)
-    ):
-        raise ReproError('"tokens" must be a list of strings')
-    if op == "delete":
-        set_id = scheduler.delete_set(ref)
-    elif tokens is None:
-        raise ReproError(f'"{op}" needs a "tokens" list')
-    elif op == "replace":
-        set_id = scheduler.replace_set(ref, tokens)
-    elif not isinstance(ref, str):
-        raise ReproError('"insert" addresses sets by "name"')
-    else:
-        set_id = scheduler.insert_set(tokens, name=ref)
+    set_id = scheduler.mutate(Mutation.from_obj(obj))
     version = scheduler.pool.version
     return {
-        "op": op,
+        "op": obj["op"],
         "set_id": set_id,
         "version": list(version) if isinstance(version, tuple) else version,
     }
 
 
 #: Ops that change the collection (the gateway budgets them separately).
-MUTATION_OPS = frozenset({"insert", "delete", "replace"})
+MUTATION_OPS = frozenset(OPS)
 
 #: op name -> ``handler(scheduler, obj) -> reply``.
 CONTROL_OPS = {

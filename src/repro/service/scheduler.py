@@ -40,6 +40,7 @@ from repro.service.request import (
     SearchResponse,
     hits_from_result,
 )
+from repro.store.mutation import DELETE, INSERT, REPLACE, Mutation
 
 #: Scheduler phase names (recorded in ``ServiceMetrics.timer``).
 DRAIN = "drain"
@@ -162,9 +163,9 @@ class QueryScheduler:
         callers block on tickets).
     wal:
         A :class:`~repro.store.wal.WriteAheadLog` that durably records
-        every mutation accepted through :meth:`insert_set` /
-        :meth:`delete_set` / :meth:`replace_set`. None = in-memory
-        mutation only (still versioned, just not crash-durable).
+        every mutation accepted through :meth:`mutate`. None =
+        in-memory mutation only (still versioned, just not
+        crash-durable).
     cache_namespace:
         A hashable tag mixed into every cache key's version component
         (``(namespace, pool.version)`` instead of the bare version).
@@ -365,43 +366,30 @@ class QueryScheduler:
         """The (possibly shared) result cache; None when disabled."""
         return self._cache
 
+    def mutate(self, mutation: Mutation) -> int:
+        """Apply one mutation to the live collection, then log its
+        name-keyed form; returns the affected set id. A refused
+        mutation raises before anything changes or is logged."""
+        set_id, named = self._pool.mutate(mutation)
+        if self._wal is not None:
+            record = self._wal.append(named.op, named.ref, named.tokens)
+            # Charge the record's wire size (line + newline) to the
+            # tenant ledger.
+            self.metrics.record_wal_bytes(len(record.to_line()) + 1)
+        return set_id
+
+    # Per-op shorthands over :meth:`mutate`.
+
     def insert_set(
         self, tokens: Iterable[str], *, name: str | None = None
     ) -> int:
-        """Insert a set into the live collection (WAL-logged); returns
-        its id."""
-        members = frozenset(tokens)
-        set_id = self._pool.insert(members, name=name)
-        if self._wal is not None:
-            record = self._wal.append(
-                "insert", self._pool.collection.name_of(set_id), members
-            )
-            self._meter_wal(record)
-        return set_id
+        return self.mutate(Mutation(INSERT, name, tokens))
 
     def delete_set(self, ref: int | str) -> int:
-        """Delete a live set by id or name (WAL-logged); returns the id."""
-        collection = self._pool.collection
-        name = ref if isinstance(ref, str) else collection.name_of(ref)
-        set_id = self._pool.delete(ref)
-        if self._wal is not None:
-            self._meter_wal(self._wal.append("delete", name))
-        return set_id
+        return self.mutate(Mutation(DELETE, ref))
 
     def replace_set(self, ref: int | str, tokens: Iterable[str]) -> int:
-        """Replace a live set's contents (WAL-logged); returns the new id."""
-        collection = self._pool.collection
-        name = ref if isinstance(ref, str) else collection.name_of(ref)
-        members = frozenset(tokens)
-        set_id = self._pool.replace(ref, members)
-        if self._wal is not None:
-            self._meter_wal(self._wal.append("replace", name, members))
-        return set_id
-
-    def _meter_wal(self, record) -> None:
-        """Charge one appended record's wire size (line + newline) to
-        the tenant ledger."""
-        self.metrics.record_wal_bytes(len(record.to_line()) + 1)
+        return self.mutate(Mutation(REPLACE, ref, tokens))
 
     # -- execution ---------------------------------------------------------
 

@@ -9,8 +9,11 @@ cold-start and mutate::
 
 * :mod:`repro.store.snapshot` — binary collection + derived-artifact
   snapshots (token table, postings, vector substrate) with a manifest;
-* :mod:`repro.store.wal` — append-only insert/delete/replace log with
-  replay and snapshot compaction;
+* :mod:`repro.store.mutation` — :class:`Mutation`, the one validated
+  insert/delete/replace value, and :func:`apply_mutation`, the one
+  function every write path applies it through;
+* :mod:`repro.store.wal` — append-only log of mutations with replay and
+  snapshot compaction;
 * :mod:`repro.store.mutable` — :class:`MutableSetCollection`, the live
   overlay with delta postings, tombstones, and a monotone ``version``
   the serving stack keys caches on.
@@ -19,6 +22,7 @@ See ``docs/store.md`` for the format and lifecycle walk-through.
 """
 
 from repro.store.mutable import DeltaInvertedIndex, MutableSetCollection
+from repro.store.mutation import Mutation, apply_mutation
 from repro.store.snapshot import (
     FORMAT_VERSION,
     SNAPSHOT_SUFFIXES,
@@ -35,7 +39,6 @@ from repro.store.snapshot import (
 from repro.store.wal import (
     WalRecord,
     WriteAheadLog,
-    apply_record,
     compact,
     pending_records,
     replay_pending,
@@ -46,12 +49,13 @@ __all__ = [
     "FORMAT_VERSION",
     "LoadedSnapshot",
     "MutableSetCollection",
+    "Mutation",
     "SNAPSHOT_SUFFIXES",
     "SnapshotManifest",
     "SnapshotSetCollection",
     "WalRecord",
     "WriteAheadLog",
-    "apply_record",
+    "apply_mutation",
     "compact",
     "inspect_snapshot",
     "load_snapshot",

@@ -517,15 +517,6 @@ class MutableSetCollection(SetCollection):
             0 <= set_id < len(self._sets) and self._sets[set_id] is not None
         )
 
-    def live_postings(self, token: str) -> list[int]:
-        """Current posting list of ``token``: ascending live ids only."""
-        posting = self.posting_of(token)
-        if posting is None or len(posting) == 0:
-            return []
-        if not isinstance(posting, list):
-            posting = posting.tolist()
-        return [i for i in posting if self._sets[i] is not None]
-
     def delta_index(
         self, set_ids: Sequence[int] | None = None
     ) -> "DeltaInvertedIndex":

@@ -7,7 +7,11 @@ over its last snapshot and resumes exactly where it stopped::
     snapshot (durable base)  +  WAL (ordered mutations)  =  live state
 
 One record per line: a JSON object carrying a monotone sequence number,
-the operation, and a CRC-32 of the body. On replay a corrupt *final*
+the name-keyed :class:`~repro.store.mutation.Mutation` (its
+:meth:`~repro.store.mutation.Mutation.to_obj` body), and a CRC-32 of the
+body. Replay applies each record through
+:func:`~repro.store.mutation.apply_mutation`, the function every live
+write goes through. On replay a corrupt *final*
 record is treated as a torn write and truncated (the classic WAL
 contract — the mutation was never acknowledged); corruption anywhere
 else raises :class:`~repro.errors.WalError`.
@@ -44,9 +48,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import InvalidParameterError, WalError
-
-#: Operations a WAL record may carry.
-OPS = ("insert", "delete", "replace")
+from repro.store.mutation import Mutation, apply_mutation
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,12 @@ class WalRecord:
     name: str
     tokens: tuple[str, ...] | None = None
 
+    @property
+    def mutation(self) -> Mutation:
+        return Mutation(self.op, self.name, self.tokens)
+
     def body(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "seq": self.seq, "op": self.op, "name": self.name,
-        }
-        if self.tokens is not None:
-            obj["tokens"] = sorted(self.tokens)
-        return obj
+        return {"seq": self.seq, **self.mutation.to_obj()}
 
     def to_line(self) -> str:
         body = self.body()
@@ -82,18 +83,18 @@ class WalRecord:
         crc = obj.pop("crc", None)
         if crc != _crc(obj):
             raise WalError("WAL record failed its CRC check")
-        op = obj.get("op")
-        if op not in OPS:
-            raise WalError(f"unknown WAL op: {op!r}")
-        tokens = obj.get("tokens")
-        if op in ("insert", "replace"):
-            if not isinstance(tokens, list) or not tokens:
-                raise WalError(f"WAL {op} record needs a token list")
+        try:
+            mutation = Mutation.from_obj(obj)
+        except InvalidParameterError as exc:
+            raise WalError(f"malformed WAL record: {exc}") from exc
+        if not isinstance(mutation.ref, str):
+            raise WalError("WAL records address sets by name")
         return cls(
             seq=int(obj["seq"]),
-            op=str(op),
-            name=str(obj["name"]),
-            tokens=None if tokens is None else tuple(tokens),
+            op=mutation.op,
+            name=mutation.ref,
+            tokens=None if mutation.tokens is None
+            else tuple(sorted(mutation.tokens)),
         )
 
 
@@ -235,17 +236,18 @@ class WriteAheadLog:
         self, op: str, name: str, tokens: Iterable[str] | None = None
     ) -> WalRecord:
         """Durably record one mutation; returns the written record."""
-        if op not in OPS:
-            raise InvalidParameterError(f"unknown WAL op: {op!r}")
+        if not isinstance(name, str):
+            raise InvalidParameterError("WAL records address sets by name")
         record = WalRecord(
             seq=self._next_seq,
             op=op,
             name=name,
             tokens=None if tokens is None else tuple(tokens),
         )
+        line = record.to_line()  # validates: a refused record is not written
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(record.to_line() + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
@@ -300,11 +302,7 @@ class WriteAheadLog:
 
     def replay_into(self, collection) -> int:
         """Apply every record to a mutable collection; returns the count."""
-        count = 0
-        for record in self.records():
-            apply_record(record, collection)
-            count += 1
-        return count
+        return replay_pending(self, None, collection)
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -344,26 +342,12 @@ def pending_records(wal: WriteAheadLog, manifest) -> list[WalRecord]:
 def replay_pending(wal: WriteAheadLog, manifest, collection) -> int:
     """Apply :func:`pending_records` to a mutable collection; returns
     the count (the crash-safe form of :meth:`WriteAheadLog.replay_into`
-    for snapshot-backed serving)."""
-    count = 0
-    for record in pending_records(wal, manifest):
-        apply_record(record, collection)
-        count += 1
-    return count
-
-
-def apply_record(record: WalRecord, collection) -> int:
-    """Apply one record to a :class:`MutableSetCollection`-style target;
-    returns the affected set id."""
-    if record.op == "insert":
-        assert record.tokens is not None
-        return collection.insert(record.tokens, name=record.name)
-    if record.op == "delete":
-        return collection.delete(record.name)
-    if record.op == "replace":
-        assert record.tokens is not None
-        return collection.replace(record.name, record.tokens)
-    raise WalError(f"unknown WAL op: {record.op!r}")
+    for snapshot-backed serving). The token index is not extended here:
+    the caller extends it once with the replayed vocabulary."""
+    records = pending_records(wal, manifest)
+    for record in records:
+        apply_mutation(collection, record.mutation)
+    return len(records)
 
 
 def compact(
@@ -390,7 +374,7 @@ def compact(
     overlay = loaded.mutable()
     records = pending_records(wal, loaded.manifest)
     for record in records:
-        apply_record(record, overlay)
+        apply_mutation(overlay, record.mutation)
     applied = len(records)
     overlay.vacuum()
     store = getattr(loaded.token_index, "store", None)

@@ -15,6 +15,7 @@ from repro.cluster.worker import substrate_from_descriptor
 from repro.datasets import TINY_PROFILES, generate_dataset
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
+from repro.store.mutation import Mutation
 from repro.store.snapshot import save_snapshot
 from repro.utils.rng import make_rng
 
@@ -112,22 +113,12 @@ def run_interleaving(pool, cluster, ops, *, crash_before=()):
                 (position, alpha, sorted(query)[:3]),
             )
             compared += 1
-        elif kind == "insert":
-            _, name, tokens = op
-            assert cluster.insert(tokens, name=name) == pool.insert(
-                tokens, name=name
-            ), (position, name)
-        elif kind == "delete":
-            _, name, _ = op
-            assert cluster.delete(name) == pool.delete(name), (
-                position,
-                name,
-            )
         else:
-            _, name, tokens = op
-            assert cluster.replace(name, tokens) == pool.replace(
-                name, tokens
-            ), (position, name)
+            mutation = Mutation(*op)
+            assert cluster.mutate(mutation) == pool.mutate(mutation), (
+                position,
+                mutation.ref,
+            )
     return compared
 
 

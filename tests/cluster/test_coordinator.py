@@ -3,7 +3,7 @@ rollup, bootstrap validation, and serving through the scheduler."""
 
 import pytest
 
-from repro.cluster import ClusterPool, ClusterMetrics, mutation_record
+from repro.cluster import ClusterPool, ClusterMetrics
 from repro.cluster.messages import check_version
 from repro.cluster.worker import substrate_from_descriptor
 from repro.datasets import SetCollection, TINY_PROFILES, generate_dataset
@@ -15,6 +15,7 @@ from repro.service import (
     SearchRequest,
 )
 from repro.store import MutableSetCollection
+from repro.store.mutation import DELETE, INSERT, Mutation
 
 K = 5
 SUBSTRATE = {
@@ -61,10 +62,12 @@ class TestVersionBarrier:
             MutableSetCollection(base_collection)
         ) as cluster:
             tokens = ["barrier_a", "barrier_b", "barrier_c"]
-            set_id = cluster.insert(tokens, name="barrier_probe")
+            set_id, _ = cluster.mutate(
+                Mutation(INSERT, "barrier_probe", tokens)
+            )
             result = cluster.search(frozenset(tokens), K)
             assert result.ids()[0] == set_id
-            cluster.delete("barrier_probe")
+            cluster.mutate(Mutation(DELETE, "barrier_probe"))
             result = cluster.search(frozenset(tokens), K)
             assert set_id not in result.ids()
 
@@ -73,7 +76,7 @@ class TestVersionBarrier:
             MutableSetCollection(base_collection)
         ) as cluster:
             before = cluster.version
-            cluster.insert(["v_probe"], name="v_probe")
+            cluster.mutate(Mutation(INSERT, "v_probe", ["v_probe"]))
             after = cluster.version
             assert before != after
 
@@ -123,9 +126,9 @@ class TestBootstrapValidation:
         self, base_collection
     ):
         records = [
-            mutation_record("insert", "boot_a", ("x_boot", "y_boot")),
-            mutation_record("insert", "boot_b", ("x_boot", "z_boot")),
-            mutation_record("delete", "boot_a", None),
+            Mutation(INSERT, "boot_a", ("x_boot", "y_boot")),
+            Mutation(INSERT, "boot_b", ("x_boot", "z_boot")),
+            Mutation(DELETE, "boot_a"),
         ]
         with make_cluster(
             MutableSetCollection(base_collection),
@@ -139,7 +142,7 @@ class TestBootstrapValidation:
     def test_immutable_collection_rejects_mutation(self, base_collection):
         with make_cluster(base_collection) as cluster:
             with pytest.raises(InvalidParameterError, match="immutable"):
-                cluster.insert(["nope"], name="nope")
+                cluster.mutate(Mutation(INSERT, "nope", ["nope"]))
 
     def test_empty_partitions_are_served_as_empty(self):
         """More workers than sets: some partitions are empty; the fleet

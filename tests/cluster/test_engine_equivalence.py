@@ -21,6 +21,7 @@ from repro.cluster.worker import substrate_from_descriptor
 from repro.datasets import TINY_PROFILES, generate_dataset
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
+from repro.store.mutation import INSERT, Mutation
 from repro.utils.rng import make_rng
 from tests.conftest import assert_same_scores
 
@@ -86,9 +87,10 @@ def test_columnar_cluster_matches_reference_pool(
                         )
                     ) + (f"cluster_fresh_{step}",)
                     name = f"mut_{step}"
-                    assert cluster.insert(
-                        tokens, name=name
-                    ) == reference.insert(tokens, name=name)
+                    mutation = Mutation(INSERT, name, tokens)
+                    assert cluster.mutate(mutation) == reference.mutate(
+                        mutation
+                    )
                     continue
                 alpha = ALPHAS[step % len(ALPHAS)]
                 query = queries[int(rng.integers(len(queries)))]

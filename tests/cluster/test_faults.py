@@ -33,6 +33,7 @@ from repro.cluster.worker import substrate_from_descriptor
 from repro.datasets import TINY_PROFILES, generate_dataset
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
+from repro.store.mutation import INSERT, REPLACE, Mutation
 
 WORKERS = 2
 K = 10
@@ -270,8 +271,8 @@ def test_background_restart_catches_up_across_a_replace(base_collection):
             def spawn_after_a_replace(spec=None, **kwargs):
                 # The spec is built; the replace lands in the catch-up.
                 calls.append(1)
-                cluster.replace(name, tokens)
-                baseline.replace(name, tokens)
+                cluster.mutate(Mutation(REPLACE, name, tokens))
+                baseline.mutate(Mutation(REPLACE, name, tokens))
                 return spawn(spec, **kwargs)
 
             victim.spawn = spawn_after_a_replace
@@ -280,8 +281,8 @@ def test_background_restart_catches_up_across_a_replace(base_collection):
             # The broadcast finds the victim dead; its sibling covers the
             # partition, so the respawn goes to the background restarter.
             detector = ["detector-a", "detector-b"]
-            cluster.insert(detector, name="detector")
-            baseline.insert(detector, name="detector")
+            cluster.mutate(Mutation(INSERT, "detector", detector))
+            baseline.mutate(Mutation(INSERT, "detector", detector))
             query = frozenset(base_collection[0])
             deadline = time.monotonic() + 60.0
             while victim.restarting and time.monotonic() < deadline:

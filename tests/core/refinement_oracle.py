@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.bounds import SAFE, Survivors
 from repro.core.config import FilterConfig
+from repro.core.fastpath import resolve_alpha
 from repro.core.koios import KoiosSearchEngine
 from repro.core.postprocessing import VerifiedEntry, postprocess
 from repro.core.stats import POSTPROCESSING, REFINEMENT, SearchStats
@@ -561,7 +562,7 @@ class ReferenceEngine(KoiosSearchEngine):
         return MaterializedTokenStream.drain(
             query_set,
             self._token_index,
-            self._check_alpha(alpha),
+            resolve_alpha(self._alpha, alpha, self._token_index),
             collection_vocabulary=self._collection.vocabulary,
         )
 

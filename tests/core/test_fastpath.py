@@ -31,6 +31,7 @@ from repro.index import (
 from repro.index import vector_index
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
+from repro.store.mutation import Mutation
 from repro.store.snapshot import build_substrate
 from repro.utils.rng import make_rng
 from tests.core.refinement_oracle import ReferenceEngine, ReferencePool
@@ -543,18 +544,10 @@ class TestRandomizedPoolEquivalence:
                     (position, alpha, sorted(query)[:3]),
                 )
                 compared += 1
-            elif kind == "insert":
-                _, name, tokens = op
-                assert columnar.insert(tokens, name=name) == reference.insert(
-                    tokens, name=name
-                )
-            elif kind == "delete":
-                _, name, _ = op
-                assert columnar.delete(name) == reference.delete(name)
             else:
-                _, name, tokens = op
-                assert columnar.replace(name, tokens) == reference.replace(
-                    name, tokens
+                mutation = Mutation(*op)
+                assert columnar.mutate(mutation) == reference.mutate(
+                    mutation
                 )
         assert compared >= 30
         reference.shutdown()

@@ -11,16 +11,17 @@ from repro.core import (
     FilterConfig,
     KoiosSearchEngine,
     fastpath,
-    koios,
     postprocessing,
 )
 from repro.datasets import SetCollection
 from repro.embedding import PinnedSimilarityModel, VectorStore
 from repro.errors import EmptyQueryError, InvalidParameterError
+from repro.index.lsh import PrefixJaccardIndex
 from repro.index.vector_index import ExactCosineIndex
 from repro.service import EnginePool
 from repro.sim import CallableSimilarity
 from repro.sim.cosine import CosineSimilarity
+from repro.sim.jaccard import QGramJaccardSimilarity
 from tests.conftest import assert_same_scores
 from tests.core.test_verify_batched import cluster_corpus
 from tests.core import refinement_oracle
@@ -130,8 +131,8 @@ class TestValidation:
         def no_drain(*args, **kwargs):
             raise AssertionError("drained before k was checked")
 
+        # Engines and pools all drain through fastpath.materialize_stream.
         monkeypatch.setattr(fastpath, "drain_stream", no_drain)
-        monkeypatch.setattr(koios, "drain_stream", no_drain)
         with pytest.raises(InvalidParameterError, match="k must be"):
             built.search({"apple"}, k=k)
 
@@ -184,6 +185,32 @@ class TestValidation:
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
             make_engine(FIXTURE_SETS, FIXTURE_SIMS, alpha=0.0)
+
+    def test_alpha_below_a_prefix_index_is_refused(self):
+        """A prefix-Jaccard index built for 0.8 streams nothing below
+        0.8: searching it at 0.3 would silently miss sets 1 and 2, so the
+        bare engine refuses, exactly as every pool does."""
+        collection = SetCollection(
+            [{"kitten", "sitting"}, {"mitten"}, {"sitter", "knitting"}]
+        )
+        query = {"kitten", "sitting"}
+        sim = QGramJaccardSimilarity(q=3)
+        exact = KoiosSearchEngine(
+            collection,
+            PrefixJaccardIndex(collection.vocabulary, alpha=0.3),
+            sim,
+        )
+        result = exact.search(query, 3, alpha=0.3)
+        assert result.ids() == [0, 2, 1]
+        assert result.scores() == pytest.approx([2.0, 0.9047619, 0.6])
+        coarse = KoiosSearchEngine(
+            collection,
+            PrefixJaccardIndex(collection.vocabulary, alpha=0.8),
+            sim,
+        )
+        for call in (coarse.search, coarse.drain):
+            with pytest.raises(InvalidParameterError, match="only exact"):
+                call(query, alpha=0.3)
 
     def test_empty_collection_rejected(self):
         sim = CallableSimilarity(PinnedSimilarityModel({}))

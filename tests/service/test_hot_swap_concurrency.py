@@ -17,6 +17,7 @@ from repro.embedding import VectorStore
 from repro.index import ExactCosineIndex
 from repro.service import EnginePool
 from repro.store import MutableSetCollection
+from repro.store.mutation import DELETE, INSERT, Mutation
 
 K = 10
 ALPHA = 0.8
@@ -57,9 +58,9 @@ def test_queries_across_version_bumps_see_consistent_state(
     # The two states the mutator below oscillates between, captured
     # quiescently: without the probe (A) and with it (B).
     state_a = fingerprint(pool.search(query, K))
-    pool.insert(probe_tokens, name="hot_swap_probe")
+    pool.mutate(Mutation(INSERT, "hot_swap_probe", probe_tokens))
     state_b = fingerprint(pool.search(query, K))
-    pool.delete("hot_swap_probe")
+    pool.mutate(Mutation(DELETE, "hot_swap_probe"))
     assert state_a != state_b, "probe must be visible in the top-k"
     expected = {state_a, state_b}
 
@@ -79,8 +80,8 @@ def test_queries_across_version_bumps_see_consistent_state(
     def mutator():
         try:
             for _ in range(MUTATION_ROUNDS):
-                pool.insert(probe_tokens, name="hot_swap_probe")
-                pool.delete("hot_swap_probe")
+                pool.mutate(Mutation(INSERT, "hot_swap_probe", probe_tokens))
+                pool.mutate(Mutation(DELETE, "hot_swap_probe"))
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
         finally:
@@ -107,13 +108,15 @@ def test_search_version_is_stable_within_one_call(tiny_opendata, pool):
     either the old or the new answer, and the pool must be fresh."""
     query = frozenset(tiny_opendata.collection[0])
     before = pool.search(query, K)
-    set_id = pool.insert(sorted(query), name="stability_probe")
+    set_id, _ = pool.mutate(
+        Mutation(INSERT, "stability_probe", sorted(query))
+    )
     after = pool.search(query, K)
     assert set_id in after.ids()
     # The swap happened exactly once: version now reflects the single
     # insert and repeated searches are stable.
     assert pool.search(query, K).ids() == after.ids()
-    pool.delete("stability_probe")
+    pool.mutate(Mutation(DELETE, "stability_probe"))
     assert pool.search(query, K).ids() == before.ids()
 
 
@@ -148,7 +151,7 @@ def test_concurrent_first_readers_share_one_advance(
         ColumnarPartition, "build", staticmethod(counting_build)
     )
 
-    pool.insert(probe_tokens, name="hot_swap_probe")
+    pool.mutate(Mutation(INSERT, "hot_swap_probe", probe_tokens))
     readers = 4
     start = threading.Barrier(readers)
     results, errors = [None] * readers, []

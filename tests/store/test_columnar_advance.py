@@ -23,6 +23,7 @@ from repro.index.interning import TokenTable, csr_from_index, token_table_for
 from repro.service import EnginePool
 from repro.store import MutableSetCollection, load_snapshot, save_snapshot
 from repro.store.mutable import DeltaInvertedIndex
+from repro.store.mutation import DELETE, INSERT, REPLACE, Mutation
 
 SUBSTRATE = {
     "kind": "hashing-cosine",
@@ -282,12 +283,17 @@ class TestPoolAdvances:
     def test_advanced_pool_equals_fresh_pool(self, stack):
         loaded, overlay, pool = stack
         steps = [
-            lambda: pool.insert({"a", "new0"}, name="x"),
-            lambda: pool.replace("x", {"b", "h"}),
-            lambda: pool.delete("x"),
+            lambda: pool.mutate(Mutation(INSERT, "x", {"a", "new0"})),
+            lambda: pool.mutate(Mutation(REPLACE, "x", {"b", "h"})),
+            lambda: pool.mutate(Mutation(DELETE, "x")),
             # shard 1 of 2 holds slots 0, 1, 2: empty it, refill it
-            lambda: [pool.delete(set_id) for set_id in (0, 1, 2)],
-            lambda: [pool.insert({"a", "h"}) for _ in range(4)],
+            lambda: [
+                pool.mutate(Mutation(DELETE, set_id)) for set_id in (0, 1, 2)
+            ],
+            lambda: [
+                pool.mutate(Mutation(INSERT, None, {"a", "h"}))
+                for _ in range(4)
+            ],
         ]
         for step in steps:
             step()
@@ -334,9 +340,9 @@ class TestPoolAdvances:
         query = frozenset({"a", "b", "c"})
         pool.search(query, 3)
         mutations = [
-            lambda: pool.insert({"a", "c"}, name="probe"),
-            lambda: pool.replace("probe", {"b", "c", "e"}),
-            lambda: pool.delete("probe"),
+            lambda: pool.mutate(Mutation(INSERT, "probe", {"a", "c"})),
+            lambda: pool.mutate(Mutation(REPLACE, "probe", {"b", "c", "e"})),
+            lambda: pool.mutate(Mutation(DELETE, "probe")),
         ]
         for mutate in mutations:
             mutate()
@@ -358,7 +364,7 @@ class TestPoolAdvances:
 
         monkeypatch.setattr(KoiosSearchEngine, "advance", counting)
         for i in range(5):
-            pool.insert({"a", f"many{i}"})
+            pool.mutate(Mutation(INSERT, None, {"a", f"many{i}"}))
         pool.search(frozenset({"a"}), 3)
         assert len(advances) == pool.num_shards
         assert sum(advances) == 5
@@ -374,11 +380,13 @@ class TestPoolAdvances:
         sink = tmp_path / "trace.jsonl"
         configure(str(sink))
         try:
-            pool.insert({"a", "b"}, name="kept-vocabulary")
+            pool.mutate(Mutation(INSERT, "kept-vocabulary", {"a", "b"}))
             pool.refresh()
             pool.refresh()  # not stale: no second swap
-            pool.replace("kept-vocabulary", {"a", "brand-new"})
-            pool.delete(2)
+            pool.mutate(
+                Mutation(REPLACE, "kept-vocabulary", {"a", "brand-new"})
+            )
+            pool.mutate(Mutation(DELETE, 2))
             pool.refresh()
         finally:
             disable()

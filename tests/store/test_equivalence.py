@@ -15,6 +15,7 @@ from repro.embedding import VectorStore
 from repro.index import ExactCosineIndex, InvertedIndex
 from repro.service import EnginePool
 from repro.store import MutableSetCollection, WriteAheadLog
+from repro.store.mutation import DELETE, INSERT, Mutation
 from repro.utils.rng import make_rng
 
 OPS = 120
@@ -166,7 +167,7 @@ def test_hot_swap_tracks_further_mutations(mutated):
     query = queries[0]
     before = pool.search(query, K)
 
-    set_id = pool.insert(query, name="hot_swap_probe")
+    set_id, _ = pool.mutate(Mutation(INSERT, "hot_swap_probe", query))
     after = pool.search(query, K)
     # The probe duplicates queries[0]'s source set: same top score, the
     # original wins the tie by lower id.
@@ -183,6 +184,6 @@ def test_hot_swap_tracks_further_mutations(mutated):
     )
     assert_bitwise_equal(after, scratch.search(query, K), "post-insert")
 
-    pool.delete("hot_swap_probe")
+    pool.mutate(Mutation(DELETE, "hot_swap_probe"))
     again = pool.search(query, K)
     assert_bitwise_equal(again, before, "delete restores prior results")

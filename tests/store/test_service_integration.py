@@ -12,6 +12,7 @@ from repro.service import EnginePool, QueryScheduler, ResultCache
 from repro.service.request import SearchRequest
 from repro.service.server import serve_lines
 from repro.store import MutableSetCollection, WriteAheadLog
+from repro.store.mutation import INSERT, Mutation
 
 
 @pytest.fixture()
@@ -105,7 +106,7 @@ class TestWireOps:
 
     def test_inserted_novel_tokens_stream_by_similarity(self):
         """A new token must be findable through *similar* (not just
-        identical) query tokens: pool.insert extends the vector store,
+        identical) query tokens: pool.mutate extends the vector store,
         so the cosine stream sees the fresh row immediately. Uses the
         subword hashing provider, under which typo variants land close."""
         from repro.datasets import SetCollection
@@ -123,7 +124,9 @@ class TestWireOps:
             CosineSimilarity(provider),
             alpha=0.8,
         )
-        pool.insert(["reproducibility", "benchmarking"], name="novel")
+        pool.mutate(
+            Mutation(INSERT, "novel", ["reproducibility", "benchmarking"])
+        )
         result = pool.search(
             frozenset({"reproducibilty"}), 2, alpha=0.5  # typo variant
         )

@@ -97,6 +97,27 @@ class TestSearch:
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
 
+class TestExplain:
+    def test_prints_one_funnel_per_query(
+        self, collection_path, tmp_path, capsys
+    ):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            '{"id": "q1", "query": ["seattle", "portland"], "k": 2}\n'
+            '["boston"]\n'
+        )
+        code = main([
+            "explain", collection_path, str(queries), "--alpha", "0.4",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        funnels = [
+            line.split() for line in lines if line.startswith("funnel")
+        ]
+        assert funnels == [["funnel", "merged", "p0"]] * 2
+        assert any(line.startswith("request q1  k=2") for line in lines)
+
+
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
